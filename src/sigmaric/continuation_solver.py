@@ -9,11 +9,12 @@ solution stabilizes on a compact core, followed by a boundary asymptotics
 fit of u + ln(distance).
 
 Two discretizations share the Newton core: graded radial grids (the
-axisymmetric reduction, second-order mapped stencils) and uniform boxes
-(sparse tensor-product stencils, batched eigenvalue linearization).  Both
-take their pointwise algebra from symfun and conformal_ops; the independent
-Chebyshev collocation oracle lives in radial_oracle and shares nothing
-with this module.
+axisymmetric reduction, second-order mapped stencils, sparse LU) and
+uniform boxes (sparse tensor-product stencils, sigma_j from batched
+Newton identities on traces, GMRES preconditioned by the fast
+diagonalization method).  Both take their pointwise algebra from symfun
+and conformal_ops; the independent Chebyshev collocation oracle lives in
+radial_oracle and shares nothing with this module.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -31,8 +32,10 @@ from .domains import (
     ScalarField,
     boundary_distance,
     box_derivative_operators,
+    uniform_d1,
+    uniform_d2,
 )
-from .symfun import sigma_all_batch
+from .symfun import sigma_all_batch, sigma_all_matrix
 
 __all__ = [
     "SolveConfig",
@@ -196,8 +199,8 @@ class _RadialDisc:
         )
         n = grid.n
         h = grid.xi_step
-        Dxi1 = _uniform_d1(n, h)
-        Dxi2 = _uniform_d2(n, h)
+        Dxi1 = uniform_d1(n, h)
+        Dxi2 = uniform_d2(n, h)
         inv_dr = 1.0 / grid.dr
         self.D1 = sp.diags(inv_dr) @ Dxi1
         self.D2 = (
@@ -290,7 +293,9 @@ class _BoxDisc:
 
     g = delta nodewise (rho may be nonzero); conformally flat backgrounds
     are handled by the callers through the substitution v = u + phi, which
-    turns them into flat solves exactly.
+    turns them into flat solves exactly.  sigma_j(W) comes from Newton's
+    identities on traces, with no eigendecomposition, and the Jacobian is
+    one assembled matrix that _PrecondSolver solves by GMRES.
     """
 
     def __init__(self, config, bg_scale):
@@ -314,6 +319,7 @@ class _BoxDisc:
         self.bmask = grid.boundary
         self.ball_row = None
         self.pde = ~self.bmask
+        self.fdm = _FastDiag(grid)
 
     def _assemble(self, u, t):
         m = self.m
@@ -336,8 +342,7 @@ class _BoxDisc:
 
     def residual(self, u, t, bc, fvals):
         W, _ = self._assemble(u, t)
-        lam = np.linalg.eigvalsh(W)
-        esp = sigma_all_batch(lam)
+        esp = sigma_all_matrix(W, self.k)
         margin = esp[self.pde, 1 : self.k + 1].min()
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         F = (esp[:, self.k] - rhs) / (1.0 + rhs)
@@ -347,8 +352,7 @@ class _BoxDisc:
     def jacobian(self, u, t, fvals):
         m, k = self.m, self.k
         W, grad = self._assemble(u, t)
-        lam = np.linalg.eigvalsh(W)
-        esp = sigma_all_batch(lam)
+        esp = sigma_all_matrix(W, k - 1)
         # Newton transformation T_{k-1}(W), batched over nodes
         eye = np.broadcast_to(np.eye(m), W.shape)
         T = eye.copy()
@@ -363,93 +367,102 @@ class _BoxDisc:
         c1 = 2.0 * (m - 2) * (trT[:, None] * grad - Tg) / c
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         w = self.pde / (1.0 + rhs)
-        P = sp.diags(-2.0 * k * rhs * w) + sp.diags(
-            self.bmask.astype(float)
-        )
-        P = P.tocsr()
+        J = sp.diags(self.bmask - 2.0 * k * rhs * w)
         for a in range(m):
-            P = P + sp.diags(c1[:, a] * w) @ self.D1[a]
-            P = P + sp.diags(c2[:, a, a] * w) @ self.D2[(a, a)]
-        mixed = None
-        for a in range(m):
-            for b in range(a + 1, m):
-                term = sp.diags(2.0 * c2[:, a, b] * w) @ self.D2[(a, b)]
-                mixed = term if mixed is None else mixed + term
-        if mixed is None:
-            return P.tocsc()
-        return _SplitJacobian(P.tocsc(), mixed.tocsr())
+            J = J + sp.diags(c1[:, a] * w) @ self.D1[a]
+            for b in range(a, m):
+                mult = 1.0 if a == b else 2.0
+                J = J + sp.diags(mult * c2[:, a, b] * w) @ self.D2[(a, b)]
+        # leading scale d = w tr(c2)/m is positive on PDE rows inside the
+        # cone; the preconditioner divides those rows by it
+        pde = self.pde
+        scale = w[pde] * np.trace(c2[pde], axis1=1, axis2=2) / m
+        shift = float(np.mean(-2.0 * k * rhs[pde] * w[pde] / scale))
+        return _BoxJacobian(J.tocsr(), scale, shift, self.fdm)
 
 
-class _SplitJacobian:
-    """Box Jacobian split into an axis-aligned part plus mixed terms.
+class _FastDiag:
+    """Fast diagonalization (Lynch, Rice & Thomas 1964) of the Dirichlet
+    second-difference operator on the interior nodes of a box grid.
 
-    The axis-aligned part has a compact 7-point pattern and factors
-    directly even in 3-D; the full operator is applied matrix-free and
-    solved by GMRES preconditioned with such a factorization.  A monolithic
-    factorization of the 27-point operator needs two orders of magnitude
-    more fill and does not fit the runtime budget.
+    The interior block of each axis's 1-d stencil is symmetric,
+    A_a = Q_a diag(lam_a) Q_a^T, so sum_a A_a + shift is diagonal in the
+    tensor basis Q_1 x ... x Q_m and its inverse costs one product with
+    each Q_a on the way in and one on the way out.
     """
 
-    def __init__(self, P, mixed):
-        self.P = P
-        self.mixed = mixed
-        self.shape = P.shape
+    def __init__(self, grid):
+        self.shape = tuple(grid.counts)
+        self.interior = (slice(1, -1),) * grid.m
+        self.Q = []
+        lam = 0.0
+        for a in range(grid.m):
+            A = uniform_d2(grid.counts[a], grid.spacing[a])[1:-1, 1:-1]
+            lam_a, Q_a = np.linalg.eigh(A.toarray())
+            self.Q.append(Q_a)
+            lam = np.add.outer(lam, lam_a)
+        self.lam = lam
 
-    def matvec(self, x):
-        y = self.P @ x
-        if self.mixed is not None:
-            y = y + self.mixed @ x
-        return y
+    def _apply(self, x, transpose):
+        for a, Q in enumerate(self.Q):
+            x = np.tensordot(Q.T if transpose else Q, x, axes=(1, a))
+            x = np.moveaxis(x, 0, a)
+        return x
+
+    def solve(self, r, shift):
+        """(sum_a A_a + shift)^{-1} r for r shaped like the interior."""
+        return self._apply(self._apply(r, True) / (self.lam + shift), False)
 
 
-class _PrecondSolver:
-    """Linear solver with a reusable axis-aligned preconditioner.
+@dataclass
+class _BoxJacobian:
+    """Assembled box Jacobian with what its preconditioner needs.
 
-    The preconditioner factorization is kept across Newton iterations and
-    continuation steps; it is refreshed from the current Jacobian whenever
-    GMRES needs too many iterations.
+    scale holds the leading scale d = w tr(c2)/m at the PDE rows, shift
+    the mean of their zero-order coefficient over d.
     """
 
-    def __init__(self):
-        self._lu = None
+    matrix: object
+    scale: np.ndarray
+    shift: float
+    fdm: _FastDiag
 
-    def solve(self, J, b):
-        if not isinstance(J, _SplitJacobian):
-            return splu(J).solve(b)
-        for _ in range(2):
-            fresh = self._lu is None
-            if fresh:
-                self._lu = splu(J.P)
-            A = spla.LinearOperator(J.shape, matvec=J.matvec)
-            M = spla.LinearOperator(J.shape, matvec=self._lu.solve)
-            x, info = spla.gmres(
-                A, b, M=M, rtol=1e-10, atol=0.0, restart=100, maxiter=10,
-            )
-            # judge by the true residual; rounding can keep the internal
-            # criterion from being met even after full convergence
-            good = np.max(np.abs(J.matvec(x) - b)) <= 1e-8 * max(
-                1.0, np.max(np.abs(b))
-            )
-            if good or fresh:
-                return x
-            self._lu = None
+    def precondition(self, r):
+        """Boundary rows are the identity; PDE rows solve
+        (sum_a A_a + shift) x = r / d by fast diagonalization."""
+        fdm = self.fdm
+        x = r.copy()
+        inner = x.reshape(fdm.shape)[fdm.interior]
+        inner[...] = fdm.solve(inner / self.scale.reshape(inner.shape),
+                               self.shift)
         return x
 
 
-def _uniform_d1(n, h):
-    e = np.ones(n)
-    D = sp.diags([-e[1:] * 0.5, e[1:] * 0.5], [-1, 1], format="lil") / h
-    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    return D.tocsr()
+class _PrecondSolver:
+    """Linear solver for the Newton steps.
 
+    Radial Jacobians are banded and factor exactly by sparse LU.  Box
+    Jacobians (27-point in 3-D) go to GMRES preconditioned by the fast
+    diagonalization method, which needs no factorization.
+    """
 
-def _uniform_d2(n, h):
-    e = np.ones(n)
-    D = sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1], format="lil") / h**2
-    D[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-    D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-    return D.tocsr()
+    def solve(self, J, b):
+        if sp.issparse(J):
+            return splu(J).solve(b)
+        A = J.matrix
+        M = spla.LinearOperator(A.shape, matvec=J.precondition)
+        tol = 1e-8 * max(1.0, np.max(np.abs(b)))
+        x = None
+        for _ in range(2):
+            x, _ = spla.gmres(
+                A, b, x0=x, M=M, rtol=1e-10, atol=0.0, restart=100,
+                maxiter=10,
+            )
+            # judge by the true residual; rounding can keep the internal
+            # criterion from being met even after full convergence
+            if np.max(np.abs(A @ x - b)) <= tol:
+                break
+        return x
 
 
 def _make_disc(config, bg_scale):
@@ -464,17 +477,15 @@ def _make_disc(config, bg_scale):
 # Newton core
 
 
-def _damped_newton(disc, u, t, bc, fvals, config, trace, solver=None):
+def _damped_newton(disc, u, t, bc, fvals, config, trace):
     """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res)."""
     tol = config.tol_residual
-    if solver is None:
-        solver = _PrecondSolver()
     for it in range(config.max_newton):
         F, margin = disc.residual(u, t, bc, fvals)
         res = np.max(np.abs(F))
         if res <= tol and margin > config.cone_margin_min:
             return u, it, res
-        h = solver.solve(disc.jacobian(u, t, fvals), -F)
+        h = _PrecondSolver().solve(disc.jacobian(u, t, fvals), -F)
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is
         # the honest convergence measure there
@@ -508,10 +519,9 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace, solver=None):
 
 
 def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
-                  t_start=0.0, trace=None, solver=None):
+                  t_start=0.0, trace=None):
     """t: t_start -> 1 at the start data, then ramp data and rhs factor."""
     trace = [] if trace is None else trace
-    solver = _PrecondSolver() if solver is None else solver
     n = disc.grid.n
     bc0 = np.zeros(n) if bc_start is None else bc_start
     ones = np.ones(n)
@@ -522,7 +532,7 @@ def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
         t_try = min(1.0, t + step)
         try:
             u_new, its, res = _damped_newton(
-                disc, u.copy(), t_try, bc0, ones, config, trace, solver
+                disc, u.copy(), t_try, bc0, ones, config, trace
             )
         except ContinuationFailure:
             step *= 0.5
@@ -545,7 +555,7 @@ def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
         f_s = f_target**s_try
         try:
             u_new, its, res = _damped_newton(
-                disc, u.copy(), 1.0, bc_s, f_s, config, trace, solver
+                disc, u.copy(), 1.0, bc_s, f_s, config, trace
             )
         except ContinuationFailure:
             step *= 0.5

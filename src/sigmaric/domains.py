@@ -22,6 +22,8 @@ __all__ = [
     "BackgroundMetric",
     "make_radial_grid",
     "make_box_grid",
+    "uniform_d1",
+    "uniform_d2",
     "fd_derivatives",
     "background_ricci",
     "boundary_distance",
@@ -182,42 +184,37 @@ class ScalarField:
         return self.grid.boundary_mask()
 
 
-def _d1_matrix(n, h):
-    """Second-order first derivative on a uniform 1-d grid (one-sided ends)."""
-    D = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1], D[i, i + 1] = -0.5 / h, 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3] = (
-        1.5 / h,
-        -2.0 / h,
-        0.5 / h,
-    )
+def uniform_d1(n, h):
+    """Second-order first derivative on n uniform nodes of spacing h.
+
+    Centered in the interior, 3-point one-sided at both ends.
+    """
+    e = np.ones(n)
+    D = sp.diags([-e[1:] * 0.5, e[1:] * 0.5], [-1, 1], format="lil") / h
+    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return D.tocsr()
 
 
-def _d2_matrix(n, h):
-    """Second-order second derivative on a uniform 1-d grid."""
-    D = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1], D[i, i], D[i, i + 1] = 1.0, -2.0, 1.0
-    # 4-point one-sided stencils, exact on cubics
-    D[0, 0], D[0, 1], D[0, 2], D[0, 3] = 2.0, -5.0, 4.0, -1.0
-    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3], D[n - 1, n - 4] = (
-        2.0,
-        -5.0,
-        4.0,
-        -1.0,
-    )
-    return (D / h**2).tocsr()
+def uniform_d2(n, h):
+    """Second-order second derivative on n uniform nodes of spacing h.
+
+    Centered in the interior, 4-point one-sided at both ends (exact on
+    cubics).
+    """
+    e = np.ones(n)
+    D = sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1], format="lil") / h**2
+    D[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
+    D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
+    return D.tocsr()
 
 
 def _axis_operator(grid, op1d, axis):
     """Lift a 1-d operator along one axis of the tensor grid."""
-    mats = []
-    for a in range(grid.m):
-        n_a = grid.counts[a]
-        mats.append(op1d(n_a) if a == axis else sp.identity(n_a))
+    mats = [
+        op1d if a == axis else sp.identity(grid.counts[a])
+        for a in range(grid.m)
+    ]
     out = mats[0]
     for M in mats[1:]:
         out = sp.kron(out, M, format="csr")
@@ -231,15 +228,13 @@ def box_derivative_operators(grid):
     D2[(a, b)] for a <= b the (mixed) second derivative; mixed partials are
     nested first-derivative products.
     """
+    n, h = grid.counts, grid.spacing
     D1 = [
-        _axis_operator(grid, lambda n, a=a: _d1_matrix(n, grid.spacing[a]), a)
-        for a in range(grid.m)
+        _axis_operator(grid, uniform_d1(n[a], h[a]), a) for a in range(grid.m)
     ]
     D2 = {}
     for a in range(grid.m):
-        D2[(a, a)] = _axis_operator(
-            grid, lambda n, a=a: _d2_matrix(n, grid.spacing[a]), a
-        )
+        D2[(a, a)] = _axis_operator(grid, uniform_d2(n[a], h[a]), a)
         for b in range(a + 1, grid.m):
             D2[(a, b)] = (D1[a] @ D1[b]).tocsr()
     return D1, D2

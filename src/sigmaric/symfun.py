@@ -13,6 +13,7 @@ __all__ = [
     "sigma_k",
     "sigma_all",
     "sigma_from_matrix",
+    "sigma_all_matrix",
     "newton_transform",
     "sigma_all_batch",
     "cone_contains",
@@ -55,35 +56,46 @@ def sigma_k(lam, k):
     return sigma_all(lam)[k]
 
 
-def _power_traces(W, kmax):
-    m = W.shape[0]
-    p = np.empty(kmax + 1)
-    Wp = np.eye(m)
-    p[0] = m
-    for j in range(1, kmax + 1):
+def sigma_all_matrix(W, kmax):
+    """sigma_0..sigma_kmax of the eigenvalues of each matrix in a stack.
+
+    W is an (..., m, m) array; returns an (..., kmax+1) array.  Newton's
+    identities on the power traces p_j = tr(W^j),
+
+        j e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i,
+
+    are basis free: no eigendecomposition, hence robust near repeated
+    spectra.  The error is normwise, of order eps |W|^j per e_j.
+    """
+    W = np.asarray(W, dtype=float)
+    m = W.shape[-1]
+    if W.shape[-2:] != (m, m):
+        raise ValueError("W must be a stack of square matrices")
+    if not 0 <= kmax <= m:
+        raise ValueError(f"order kmax={kmax} out of range 0..{m}")
+    # p[i - 1] = tr(W^i)
+    p = [np.trace(W, axis1=-2, axis2=-1)]
+    Wp = W
+    for _ in range(1, kmax):
         Wp = Wp @ W
-        p[j] = np.trace(Wp)
-    return p
+        p.append(np.trace(Wp, axis1=-2, axis2=-1))
+    e = np.zeros(W.shape[:-2] + (kmax + 1,))
+    e[..., 0] = 1.0
+    for j in range(1, kmax + 1):
+        s = 0.0
+        for i in range(1, j + 1):
+            s = s + (-1) ** (i - 1) * e[..., j - i] * p[i - 1]
+        e[..., j] = s / j
+    return e
 
 
 def sigma_from_matrix(W, k):
-    """sigma_k of the eigenvalues of W via Newton's identities on traces.
-
-    Basis free: no eigendecomposition, hence robust near repeated spectra.
-    """
+    """sigma_k of the eigenvalues of the matrix W (see sigma_all_matrix)."""
     W = np.asarray(W, dtype=float)
     m = W.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"order k={k} out of range 1..{m}")
-    p = _power_traces(W, k)
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for j in range(1, k + 1):
-        s = 0.0
-        for i in range(1, j + 1):
-            s += (-1) ** (i - 1) * e[j - i] * p[i]
-        e[j] = s / j
-    return e[k]
+    return float(sigma_all_matrix(W, k)[k])
 
 
 def newton_transform(W, k):
@@ -98,9 +110,10 @@ def newton_transform(W, k):
         raise ValueError("W must be square")
     if not 0 <= k <= m - 1:
         raise ValueError(f"order k={k} out of range 0..{m - 1}")
+    e = sigma_all_matrix(W, k)
     T = np.eye(m)
     for j in range(1, k + 1):
-        T = sigma_from_matrix(W, j) * np.eye(m) - T @ W
+        T = e[j] * np.eye(m) - T @ W
     return T
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import sigmaric.continuation_solver as cs
 from sigmaric.continuation_solver import (
     ContinuationFailure,
     HomotopyState,
@@ -219,3 +221,66 @@ class TestComplete:
         grid = make_radial_grid(0.0, 1.0, 65, m=3)
         with pytest.raises(ValueError):
             solve_complete(flat_config(grid, 2))
+
+
+def _converged(grid, k, data):
+    """Converged Dirichlet state and the discretization it was solved on."""
+    cfg = flat_config(grid, k, boundary_data=data)
+    state = solve_dirichlet(cfg)
+    disc = cs._make_disc(cfg, state.background_scale)
+    bc, _ = cs._boundary_values(grid, data)
+    return disc, state.u.values, bc
+
+
+def _box_state(k):
+    grid = make_box_grid([0, 0, 0], [1.0, 0.5, 0.8], [11, 7, 9])
+    x, y, z = grid.points.T
+    disc, u, bc = _converged(grid, k, 0.5 + 0.1 * np.sin(x + 2 * y - z))
+    return disc, u, bc, np.cos(x + 2 * y - z) + x * y * z
+
+
+def _radial_state():
+    grid = make_radial_grid(0.5, 1.0, 65, m=4)
+    r = grid.nodes
+    disc, u, bc = _converged(grid, 3, np.where(r > 0.75, 0.5, 0.0))
+    return disc, u, bc, np.cos(3.0 * r)
+
+
+class TestDiscreteJacobian:
+    # the assembled Jacobian against central differences of the discrete
+    # residual at a converged state; v must be smooth, since for a rough
+    # v the O(eps^2) truncation term carries (D v)^3 ~ h^-3 and swamps
+    # the comparison (a standard normal v reads 4e-5 on the radial grid,
+    # the smooth one 2e-8)
+    @pytest.mark.parametrize("case", ["box-k1", "box-k2", "box-k3",
+                                      "radial-m4-k3"])
+    def test_matches_central_differences(self, case):
+        if case.startswith("box"):
+            disc, u, bc, v = _box_state(int(case[-1]))
+        else:
+            disc, u, bc, v = _radial_state()
+        ones = np.ones(u.size)
+        J = disc.jacobian(u, 1.0, ones)
+        Jv = getattr(J, "matrix", J) @ v
+        eps = 1e-6
+        Fp, _ = disc.residual(u + eps * v, 1.0, bc, ones)
+        Fm, _ = disc.residual(u - eps * v, 1.0, bc, ones)
+        fd = (Fp - Fm) / (2.0 * eps)
+        err = np.max(np.abs(Jv - fd)) / np.max(np.abs(Jv))
+        assert err <= 1e-6
+
+
+class TestBoxLinearSolve:
+    @pytest.mark.parametrize("lo, hi, counts, k", [
+        ([0, 0, 0], [1.0, 0.5, 0.8], [11, 7, 9], 2),
+        ([0, 0, 0, 0], [1.0, 0.7, 1.2, 0.9], [6, 5, 7, 5], 3),
+    ])
+    def test_matches_direct_solve(self, lo, hi, counts, k):
+        grid = make_box_grid(lo, hi, counts)
+        data = 0.5 + 0.1 * np.sin(grid.points @ np.arange(1, grid.m + 1))
+        disc, u, _ = _converged(grid, k, data)
+        J = disc.jacobian(u, 1.0, np.ones(grid.n))
+        b = np.random.default_rng(23).standard_normal(grid.n)
+        x = cs._PrecondSolver().solve(J, b)
+        ref = spla.spsolve(J.matrix.tocsc(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))

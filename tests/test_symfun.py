@@ -11,6 +11,7 @@ from sigmaric.symfun import (
     maclaurin_ratios,
     newton_transform,
     sigma_all_batch,
+    sigma_all_matrix,
     sigma_from_matrix,
     sigma_k,
 )
@@ -64,6 +65,46 @@ class TestSigmaK:
         for i in range(50):
             for k in range(1, 5):
                 assert e[i, k] == pytest.approx(sigma_k(lams[i], k))
+
+
+class TestSigmaAllMatrix:
+    def test_matches_eigenvalues(self):
+        # Newton's identities on traces lose accuracy relative to
+        # sigma_k(|lam|) when eigenvalue magnitudes differ widely, so the
+        # error is measured normwise, against C(m, k) max|lam|^k
+        rng = np.random.default_rng(17)
+        n = 2000
+        for m in range(2, 7):
+            W = 0.5 * rng.standard_normal((n, m, m))
+            W = W + np.swapaxes(W, 1, 2)
+            # near-repeated spectra: one cluster split by 1e-9, the rest
+            # of the eigenvalues exactly repeated
+            Q, _ = np.linalg.qr(rng.standard_normal((n, m, m)))
+            lam = rng.normal(0.0, 2.0, (n, 1)) + 1e-9 * rng.standard_normal(
+                (n, m)
+            )
+            lam[:, : m // 2] = rng.normal(0.0, 2.0, (n, 1))
+            Wc = np.einsum("iab,ib,icb->iac", Q, lam, Q)
+            for stack in (W, Wc):
+                ev = np.linalg.eigvalsh(stack)
+                ref = sigma_all_batch(ev)
+                got = sigma_all_matrix(stack, m)
+                assert got.shape == (n, m + 1)
+                assert np.all(got[:, 0] == 1.0)
+                top = np.abs(ev).max(axis=1)
+                for k in range(1, m + 1):
+                    err = np.abs(got[:, k] - ref[:, k])
+                    assert np.all(err <= 1e-12 * comb(m, k) * top**k)
+
+    def test_prefix_and_validation(self):
+        W = random_symmetric(np.random.default_rng(19), 4)
+        full = sigma_all_matrix(W, 4)
+        assert np.array_equal(sigma_all_matrix(W, 2), full[:3])
+        assert sigma_from_matrix(W, 3) == full[3]
+        with pytest.raises(ValueError):
+            sigma_all_matrix(W, 5)
+        with pytest.raises(ValueError):
+            sigma_all_matrix(np.zeros((3, 2)), 1)
 
 
 class TestNewtonTransform:
