@@ -14,8 +14,8 @@ reduction v = w + phi to a flat solve, so the only discretizations needed are
 the flat ones from continuation_solver.
 """
 
-from dataclasses import dataclass, field as dc_field
-from math import comb, log
+from dataclasses import dataclass, field as dc_field, replace
+from math import comb
 
 import numpy as np
 
@@ -168,14 +168,7 @@ def invariance_check(setup, phi_shift):
         shift = np.full(setup.grid.n, float(shift))
     base = compute_Hk(solve_family(setup))
     phi_new = _phi_values(setup) + shift
-    moved = CCSetup(
-        grid=setup.grid,
-        n=setup.n,
-        phi=ScalarField(setup.grid, phi_new),
-        tol_residual=setup.tol_residual,
-        core_tol=setup.core_tol,
-        j_step=setup.j_step,
-    )
+    moved = replace(setup, phi=ScalarField(setup.grid, phi_new))
     new = compute_Hk(solve_family(moved))
     return max(
         float(np.max(np.abs(a.values - b.values)))

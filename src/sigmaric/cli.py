@@ -14,6 +14,7 @@ environment variable redirects relative output paths.
 """
 
 import argparse
+import ast
 import csv
 import itertools
 import json
@@ -21,7 +22,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from math import comb, log
+from math import log
 from pathlib import Path
 
 import numpy as np
@@ -186,18 +187,39 @@ def _parse_counts(text, expect=None):
     return counts
 
 
+_EXPR_FUNCTIONS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+    "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
+    "cosh": np.cosh, "sinh": np.sinh, "minimum": np.minimum,
+    "maximum": np.maximum, "where": np.where,
+}
+_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare,
+               ast.operator, ast.unaryop, ast.cmpop, ast.Load)
+
+
 def _eval_expression(expr, env):
-    """Evaluate a field expression with numpy names in scope."""
-    allowed = {
-        "np": np, "pi": np.pi, "e": np.e,
-        "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-        "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
-        "cosh": np.cosh, "sinh": np.sinh, "minimum": np.minimum,
-        "maximum": np.maximum, "where": np.where,
-    }
-    allowed.update(env)
+    """Evaluate a field expression in env, pi, e and _EXPR_FUNCTIONS.
+
+    Only numbers, those names, arithmetic, comparisons and calls of the
+    functions pass the syntax check, so no string reaches attributes.
+    """
+    names = {"pi": np.pi, "e": np.e, **_EXPR_FUNCTIONS, **env}
     try:
-        return eval(expr, {"__builtins__": {}}, allowed)
+        tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                ok = (isinstance(node.func, ast.Name)
+                      and node.func.id in _EXPR_FUNCTIONS)
+            elif isinstance(node, ast.Constant):
+                ok = type(node.value) in (int, float)
+            elif isinstance(node, ast.Name):
+                ok = node.id in names
+            else:
+                ok = isinstance(node, _EXPR_NODES)
+            if not ok:
+                raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+        return eval(compile(tree, "<expression>", "eval"),
+                    {"__builtins__": {}}, names)
     except Exception as exc:
         raise ConfigError(f"bad expression {expr!r}: {exc}") from exc
 

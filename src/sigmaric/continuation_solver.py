@@ -12,12 +12,12 @@ Two discretizations share the Newton core: graded radial grids (the
 axisymmetric reduction, second-order mapped stencils, sparse LU) and
 uniform boxes (sparse tensor-product stencils, sigma_j from batched
 Newton identities on traces, GMRES preconditioned by the fast
-diagonalization method).  Both take their pointwise algebra from symfun
-and conformal_ops; the independent Chebyshev collocation oracle lives in
-radial_oracle and shares nothing with this module.
+diagonalization method).  Both take their pointwise algebra from symfun;
+the independent Chebyshev collocation oracle lives in radial_oracle and
+shares nothing with this module.
 """
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from math import comb, log
 
 import numpy as np
@@ -32,21 +32,20 @@ from .domains import (
     ScalarField,
     boundary_distance,
     box_derivative_operators,
+    fd_derivatives,
     uniform_d1,
     uniform_d2,
 )
-from .symfun import sigma_all_batch, sigma_all_matrix
+from .symfun import newton_transform, sigma_all_batch, sigma_all_matrix
 
 __all__ = [
     "SolveConfig",
     "HomotopyState",
-    "SubsolutionParams",
     "ContinuationFailure",
     "InvariantViolation",
     "solve_dirichlet",
     "solve_complete",
     "newton_step",
-    "initial_guess_complete",
     "complete_grading",
 ]
 
@@ -61,20 +60,6 @@ class ContinuationFailure(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A structural property (e.g. exhaustion monotonicity) failed."""
-
-
-@dataclass
-class SubsolutionParams:
-    """Parameters of the collar lower-barrier initial guess."""
-
-    A: float = 1.0
-    p: float = 1.0
-    delta: float = 0.5
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if min(self.A, self.p, self.delta, self.epsilon) <= 0:
-            raise ValueError("subsolution parameters must be positive")
 
 
 @dataclass
@@ -139,7 +124,7 @@ def _boundary_values(grid, data):
     else:
         raise ValueError("boundary data length matches neither the grid "
                          "nor its boundary")
-    return out, mask
+    return out
 
 
 def _rhs_factor_values(grid, factor):
@@ -317,19 +302,13 @@ class _BoxDisc:
         self.rho = bg.rho
         self.D1, self.D2 = box_derivative_operators(grid)
         self.bmask = grid.boundary
-        self.ball_row = None
         self.pde = ~self.bmask
         self.fdm = _FastDiag(grid)
 
     def _assemble(self, u, t):
         m = self.m
-        grad = np.stack([self.D1[a] @ u for a in range(m)], axis=1)
-        hess = np.empty((self.grid.n, m, m))
-        for a in range(m):
-            hess[:, a, a] = self.D2[(a, a)] @ u
-            for b in range(a + 1, m):
-                hab = self.D2[(a, b)] @ u
-                hess[:, a, b] = hess[:, b, a] = hab
+        grad, hess = fd_derivatives(ScalarField(self.grid, u),
+                                    (self.D1, self.D2))
         lap = np.trace(hess, axis1=1, axis2=2)
         g2 = np.sum(grad * grad, axis=1)
         eye = np.eye(m)
@@ -352,17 +331,10 @@ class _BoxDisc:
     def jacobian(self, u, t, fvals):
         m, k = self.m, self.k
         W, grad = self._assemble(u, t)
-        esp = sigma_all_matrix(W, k - 1)
-        # Newton transformation T_{k-1}(W), batched over nodes
-        eye = np.broadcast_to(np.eye(m), W.shape)
-        T = eye.copy()
-        for j in range(1, k):
-            T = esp[:, j, None, None] * eye - np.einsum(
-                "iab,ibc->iac", T, W
-            )
+        T = newton_transform(W, k - 1)
         trT = np.trace(T, axis1=1, axis2=2)
         c = self.bg_scale
-        c2 = ((m - 2) * T + trT[:, None, None] * eye) / c
+        c2 = ((m - 2) * T + trT[:, None, None] * np.eye(m)) / c
         Tg = np.einsum("iab,ib->ia", T, grad)
         c1 = 2.0 * (m - 2) * (trT[:, None] * grad - Tg) / c
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
@@ -477,6 +449,23 @@ def _make_disc(config, bg_scale):
 # Newton core
 
 
+def _line_search(disc, u, h, res, t, bc, fvals, config):
+    """Halve the step s from 1 until u + s h stays in the cone and lowers
+    the residual (or meets tol); returns (u, res, margin), or None once s
+    underflows 1e-8."""
+    s = 1.0
+    while s >= 1e-8:
+        u_new = u + s * h
+        F_new, margin_new = disc.residual(u_new, t, bc, fvals)
+        res_new = np.max(np.abs(F_new))
+        if margin_new > config.cone_margin_min and (
+            res_new < res or res_new <= config.tol_residual
+        ):
+            return u_new, res_new, margin_new
+        s *= 0.5
+    return None
+
+
 def _damped_newton(disc, u, t, bc, fvals, config, trace):
     """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res)."""
     tol = config.tol_residual
@@ -494,17 +483,8 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
             _, margin_new = disc.residual(u_new, t, bc, fvals)
             if margin_new > config.cone_margin_min:
                 return u_new, it + 1, res
-        s = 1.0
-        while s >= 1e-8:
-            u_new = u + s * h
-            F_new, margin_new = disc.residual(u_new, t, bc, fvals)
-            res_new = np.max(np.abs(F_new))
-            if margin_new > config.cone_margin_min and (
-                res_new < res or res_new <= tol
-            ):
-                break
-            s *= 0.5
-        else:
+        step = _line_search(disc, u, h, res, t, bc, fvals, config)
+        if step is None:
             # stagnation at the rounding floor of the linearized solve
             if res <= max(100.0 * tol, 1e-6) and margin > 0:
                 return u, it, res
@@ -512,50 +492,25 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
                 trace,
             )
-        u = u_new
+        u = step[0]
     raise ContinuationFailure(
         f"Newton did not converge at t={t:.4f}", trace
     )
 
 
-def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
-                  t_start=0.0, trace=None):
-    """t: t_start -> 1 at the start data, then ramp data and rhs factor."""
-    trace = [] if trace is None else trace
-    n = disc.grid.n
-    bc0 = np.zeros(n) if bc_start is None else bc_start
-    ones = np.ones(n)
-    # primary homotopy in t
-    t, step = t_start, config.t_step_init
-    streak = 0
-    while t < 1.0:
-        t_try = min(1.0, t + step)
-        try:
-            u_new, its, res = _damped_newton(
-                disc, u.copy(), t_try, bc0, ones, config, trace
-            )
-        except ContinuationFailure:
-            step *= 0.5
-            streak = 0
-            if step < 1e-6:
-                raise
-            continue
-        u, t = u_new, t_try
-        trace.append(("t", t, its, res))
-        streak += 1
-        if streak >= 2:
-            step = min(2.0 * step, config.t_step_init)
-    # secondary homotopy: ramp boundary data and rhs factor together
-    need_ramp = np.any(bc_target != bc0) or np.any(f_target != 1.0)
-    s, step = (0.0, config.t_step_init) if need_ramp else (1.0, 0.0)
-    streak = 0
+def _follow(disc, u, config, trace, label, data):
+    """Follow s: 0 -> 1 by damped Newton on data(s) = (t, bc, fvals).
+
+    A failed step is retried at half the size, two successes double it up
+    to t_step_init; each accepted step appends (label, s, its, res).
+    """
+    s, step, streak = 0.0, config.t_step_init, 0
     while s < 1.0:
         s_try = min(1.0, s + step)
-        bc_s = (1.0 - s_try) * bc0 + s_try * bc_target
-        f_s = f_target**s_try
+        t, bc, fvals = data(s_try)
         try:
             u_new, its, res = _damped_newton(
-                disc, u.copy(), 1.0, bc_s, f_s, config, trace
+                disc, u.copy(), t, bc, fvals, config, trace
             )
         except ContinuationFailure:
             step *= 0.5
@@ -564,10 +519,29 @@ def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
                 raise
             continue
         u, s = u_new, s_try
-        trace.append(("ramp", s, its, res))
+        trace.append((label, s, its, res))
         streak += 1
         if streak >= 2:
             step = min(2.0 * step, config.t_step_init)
+    return u
+
+
+def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
+                  trace=None):
+    """t: 0 -> 1 at zero data, then ramp boundary data and rhs factor.
+    Given bc_start, u already solves t = 1 at that data: only the ramp
+    runs."""
+    trace = [] if trace is None else trace
+    n = disc.grid.n
+    ones = np.ones(n)
+    if bc_start is None:
+        bc0 = np.zeros(n)
+        u = _follow(disc, u, config, trace, "t", lambda s: (s, bc0, ones))
+    else:
+        bc0 = bc_start
+    if np.any(bc_target != bc0) or np.any(f_target != 1.0):
+        u = _follow(disc, u, config, trace, "ramp", lambda s: (
+            1.0, (1.0 - s) * bc0 + s * bc_target, f_target**s))
     F, margin = disc.residual(u, 1.0, bc_target, f_target)
     return u, np.max(np.abs(F)), margin, trace
 
@@ -582,7 +556,7 @@ def solve_dirichlet(config):
     """
     bg_scale = _background_prescale(config.background)
     disc = _make_disc(config, bg_scale)
-    bc, _ = _boundary_values(config.grid, config.boundary_data)
+    bc = _boundary_values(config.grid, config.boundary_data)
     fvals = _rhs_factor_values(config.grid, config.rhs_factor)
     u0 = np.zeros(config.grid.n)
     u, res, margin, trace = _continuation(disc, u0, config, bc, fvals)
@@ -604,7 +578,7 @@ def newton_step(state, config):
     """
     bg_scale = getattr(state, "background_scale", 1.0)
     disc = _make_disc(config, bg_scale)
-    bc, _ = _boundary_values(config.grid, config.boundary_data)
+    bc = _boundary_values(config.grid, config.boundary_data)
     fvals = _rhs_factor_values(config.grid, config.rhs_factor)
     u = state.u.values
     F, margin = disc.residual(u, state.t, bc, fvals)
@@ -612,20 +586,12 @@ def newton_step(state, config):
         raise ContinuationFailure("state is not admissible")
     res = np.max(np.abs(F))
     h = _PrecondSolver().solve(disc.jacobian(u, state.t, fvals), -F)
-    s = 1.0
-    while s >= 1e-8:
-        u_new = u + s * h
-        F_new, margin_new = disc.residual(u_new, state.t, bc, fvals)
-        res_new = np.max(np.abs(F_new))
-        if margin_new > config.cone_margin_min and (
-            res_new < res or res_new <= config.tol_residual
-        ):
-            break
-        s *= 0.5
-    else:
+    step = _line_search(disc, u, h, res, state.t, bc, fvals, config)
+    if step is None:
         raise ContinuationFailure(
             f"damping underflow, residual {res:.2e}", state.trace
         )
+    u_new, res_new, margin_new = step
     return HomotopyState(
         t=state.t,
         u=ScalarField(config.grid, u_new),
@@ -634,25 +600,6 @@ def newton_step(state, config):
         trace=state.trace + [("newton", state.t, 1, res_new)],
         background_scale=bg_scale,
     )
-
-
-def initial_guess_complete(grid, j, params, m):
-    """Collar lower-barrier initial guess for a boundary constant j.
-
-    min(j, -ln(d + eps) + (1/2)ln(m-1) + A((d + delta)^{-p} - delta^{-p}))
-    with d the boundary distance; boundary nodes carry exactly j.
-    """
-    d = boundary_distance(grid).values
-    eps = params.epsilon
-    collar = params.A * (
-        (d + params.delta) ** (-params.p) - params.delta ** (-params.p)
-    )
-    guess = np.minimum(j, -np.log(d + eps) + 0.5 * log(m - 1) + collar)
-    mask = (
-        grid.boundary if isinstance(grid, BoxGrid) else grid.boundary_mask()
-    )
-    guess[mask] = j
-    return ScalarField(grid, guess)
 
 
 def complete_grading(n, alpha=10.0):
@@ -703,21 +650,20 @@ def solve_complete(config):
     if j_cap is None:
         j_cap = max(config.j_step, -log(5.0 * h_min))
 
-    trace = []
     j = config.j_step
-    bc, _ = _boundary_values(grid, j)
+    bc = _boundary_values(grid, j)
     u, res, margin, trace = _continuation(disc, np.zeros(grid.n), config,
-                                          bc, fvals, trace=trace)
+                                          bc, fvals)
     rungs = [(j, u)]
     u_prev = u
     for _ in range(config.max_rungs):
         j_next = j + config.j_step
         if j_next > j_cap + 1e-12:
             break
-        bc_next, _ = _boundary_values(grid, j_next)
+        bc_next = _boundary_values(grid, j_next)
         u, res, margin, trace = _continuation(
             disc, u_prev.copy(), config, bc_next, fvals,
-            bc_start=bc, t_start=1.0, trace=trace,
+            bc_start=bc, trace=trace,
         )
         drop = float((u_prev - u).max())
         if drop > 1e-8:

@@ -8,7 +8,7 @@ scope.
 """
 
 from dataclasses import dataclass, field
-from math import comb, sqrt, tan, tanh
+from math import tanh
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,6 @@ __all__ = [
     "fd_derivatives",
     "background_ricci",
     "boundary_distance",
-    "hessian_comparison_bound",
 ]
 
 
@@ -367,21 +366,3 @@ def boundary_distance(grid):
         return ScalarField(grid, d)
     raise TypeError(f"unsupported grid {type(grid)!r}")
 
-
-def hessian_comparison_bound(K, r, m):
-    """Hessian comparison bound H_K(r) for distance functions.
-
-    (m-1) sqrt(K) cot(sqrt(K) r) for K > 0, (m-1)/r for K = 0,
-    (m-1) sqrt(|K|) coth(sqrt(|K|) r) for K < 0.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if K > 0:
-        x = sqrt(K) * r
-        if x >= np.pi:
-            raise ValueError("sqrt(K) r >= pi: past the conjugate point")
-        return (m - 1) * sqrt(K) / tan(x)
-    if K == 0:
-        return (m - 1) / r
-    x = sqrt(-K) * r
-    return (m - 1) * sqrt(-K) / tanh(x)

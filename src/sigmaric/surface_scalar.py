@@ -14,6 +14,7 @@ fields to second order).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,6 +151,19 @@ class SurfaceProblem:
     def kind(self):
         return "flat" if self.psi is None else "conformal"
 
+    @cached_property
+    def operator(self):
+        """(Laplacian, R(g), e^{-2 psi}) at every node, built once."""
+        grid = self.grid
+        lap = laplacian_matrix(grid)
+        psi = _field_values(grid, self.psi, 0.0)
+        weight = np.exp(-2.0 * psi)
+        if self.curvature is not None:
+            R = _field_values(grid, self.curvature, 0.0)
+        else:
+            R = np.where(grid.boundary, 0.0, -2.0 * weight * (lap @ psi))
+        return lap, R, weight
+
 
 def _field_values(grid, data, default):
     if data is None:
@@ -162,32 +176,14 @@ def _field_values(grid, data, default):
     return vals
 
 
-def _curvature_values(problem, lap, interior):
-    if problem.curvature is not None:
-        return _field_values(problem.grid, problem.curvature, 0.0)
-    if problem.psi is None:
-        return np.zeros(problem.grid.n)
-    psi = _field_values(problem.grid, problem.psi, 0.0)
-    R = np.zeros(problem.grid.n)
-    R[interior] = -2.0 * np.exp(-2.0 * psi[interior]) * (lap @ psi)[interior]
-    return R
-
-
 def solve_positive_scalar(problem):
     """Solve -2 Delta_g u = 1 - R(g) with u = 0 on the boundary.
 
     Returns the ScalarField u; the conformal metric e^{2u} g then has
     scalar curvature e^{-2u} > 0 (see verify_positive_scalar).
     """
-    grid = problem.grid
-    lap = laplacian_matrix(grid)
-    boundary = grid.boundary
-    interior = ~boundary
-    R = _curvature_values(problem, lap, interior)
-    weight = np.ones(grid.n)
-    if problem.psi is not None:
-        psi = _field_values(grid, problem.psi, 0.0)
-        weight = np.exp(-2.0 * psi)
+    lap, R, weight = problem.operator
+    boundary = problem.grid.boundary
     A = sp.diags(np.where(boundary, 1.0, -2.0 * weight)) @ lap
     rhs = np.where(boundary, 0.0, 1.0 - R)
     try:
@@ -200,7 +196,7 @@ def solve_positive_scalar(problem):
     u = u + lu.solve(rhs - A @ u)
     if not np.all(np.isfinite(u)):
         raise RuntimeError("linear solve failed")
-    return ScalarField(grid, u)
+    return ScalarField(problem.grid, u)
 
 
 def verify_positive_scalar(problem, u):
@@ -211,14 +207,8 @@ def verify_positive_scalar(problem, u):
     the discrete scalar curvature of e^{2u} g, which the solve makes
     equal to e^{-2u} up to the residual.
     """
-    grid = problem.grid
-    lap = laplacian_matrix(grid)
-    interior = ~grid.boundary
-    R = _curvature_values(problem, lap, interior)
-    weight = np.ones(grid.n)
-    if problem.psi is not None:
-        psi = _field_values(grid, problem.psi, 0.0)
-        weight = np.exp(-2.0 * psi)
+    lap, R, weight = problem.operator
+    interior = ~problem.grid.boundary
     vals = u.values if isinstance(u, ScalarField) else np.asarray(u, float)
     lhs = R - 2.0 * weight * (lap @ vals)
     residual = float(np.max(np.abs(lhs[interior] - 1.0)))

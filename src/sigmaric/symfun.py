@@ -101,19 +101,21 @@ def sigma_from_matrix(W, k):
 def newton_transform(W, k):
     """Newton transformation T_k(W) = sigma_k(W) I - T_{k-1}(W) W, T_0 = I.
 
-    Satisfies tr(T_{k-1}(W) W) = k sigma_k(W); T_{k-1} supplies the elliptic
-    coefficients of the linearized sigma_k operator.
+    W is one m x m matrix or an (..., m, m) stack, transformed matrix by
+    matrix.  Satisfies tr(T_{k-1}(W) W) = k sigma_k(W); T_{k-1} supplies
+    the elliptic coefficients of the linearized sigma_k operator.
     """
     W = np.asarray(W, dtype=float)
-    m = W.shape[0]
-    if W.shape != (m, m):
+    m = W.shape[-1]
+    if W.ndim < 2 or W.shape[-2] != m:
         raise ValueError("W must be square")
     if not 0 <= k <= m - 1:
         raise ValueError(f"order k={k} out of range 0..{m - 1}")
     e = sigma_all_matrix(W, k)
-    T = np.eye(m)
+    eye = np.eye(m)
+    T = np.broadcast_to(eye, W.shape).copy()
     for j in range(1, k + 1):
-        T = e[j] * np.eye(m) - T @ W
+        T = e[..., j, None, None] * eye - T @ W
     return T
 
 

@@ -130,6 +130,22 @@ class TestExitCodes:
                      "--domain", "annulus", "--grid", "33",
                      "--data-file", str(data)]) == 2
 
+    @pytest.mark.parametrize("expr, code", [
+        ("().__class__.__base__.__subclasses__()", 2),
+        ("np.cos(x)", 2),
+        ("where(r < 0.5, 1.0, 0.0)", 0),
+    ])
+    def test_curvature_expression(self, expr, code, tmp_path, capsys):
+        # only numbers, coordinates, arithmetic, comparisons and calls of
+        # listed functions evaluate; attribute access never reaches eval
+        rc = main(["surface", "--domain", "box", "--grid", "9,9",
+                   "--curvature", expr, "--out", str(tmp_path / "s.json")])
+        assert rc == code
+        if code == 2:
+            assert "is not allowed" in capsys.readouterr().err
+            with pytest.raises(ConfigError):
+                cli._eval_expression(expr, {"x": np.zeros(3)})
+
     def test_solver_failure(self, monkeypatch, capsys):
         def boom(cfg):
             raise ContinuationFailure("step underflow at t=0.5")

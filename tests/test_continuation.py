@@ -7,9 +7,7 @@ from sigmaric.continuation_solver import (
     ContinuationFailure,
     HomotopyState,
     SolveConfig,
-    SubsolutionParams,
     complete_grading,
-    initial_guess_complete,
     newton_step,
     solve_complete,
     solve_dirichlet,
@@ -17,7 +15,6 @@ from sigmaric.continuation_solver import (
 from sigmaric.domains import (
     ScalarField,
     background_ricci,
-    boundary_distance,
     make_box_grid,
     make_radial_grid,
 )
@@ -40,8 +37,6 @@ class TestConfig:
             SolveConfig(grid=grid, background=bg, k=2, mode="robin")
         with pytest.raises(ValueError):
             SolveConfig(grid=grid, background=bg, k=2, t_step_init=0.0)
-        with pytest.raises(ValueError):
-            SubsolutionParams(A=-1.0)
 
     def test_boundary_data_length(self):
         grid = make_radial_grid(0.5, 1.0, 33, m=3)
@@ -98,6 +93,25 @@ class TestDirichletRadial:
         lo = solve_dirichlet(flat_config(grid, 2, boundary_data=0.5))
         hi = solve_dirichlet(flat_config(grid, 2, boundary_data=1.0))
         assert np.all(hi.u.values >= lo.u.values - 1e-12)
+
+    def test_continuation_trace(self):
+        # a data jump the ramp cannot take in full steps: the t-homotopy
+        # runs first, then the ramp, whose step is halved after failures
+        grid = make_radial_grid(0.5, 1.0, 65, m=4)
+        data = np.where(grid.nodes > 0.75, 0.5, 0.0)
+        cfg = flat_config(grid, 3, boundary_data=data)
+        trace = solve_dirichlet(cfg).trace
+        labels = [e[0] for e in trace]
+        n_t = labels.count("t")
+        assert n_t > 0
+        assert labels == ["t"] * n_t + ["ramp"] * (len(trace) - n_t)
+        for phase in (trace[:n_t], trace[n_t:]):
+            params = np.array([0.0] + [e[1] for e in phase])
+            steps = np.diff(params)
+            assert params[-1] == 1.0
+            assert np.all(steps > 0)
+            assert np.all(steps <= cfg.t_step_init)
+        assert steps.min() < 0.25  # steps of the ramp, the last phase
 
     def test_warped_background(self):
         # hyperbolic warped annulus: rho has top eigenvalue m - 1, so the
@@ -170,25 +184,6 @@ class TestDirichletBox:
 
 
 class TestCompleteGuess:
-    def test_boundary_and_bound(self):
-        grid = make_radial_grid(0.0, 1.0, 257, m=3)
-        guess = initial_guess_complete(grid, 6.0, SubsolutionParams(), m=3)
-        assert np.all(guess.values[grid.boundary_mask()] == 6.0)
-        assert np.all(guess.values <= 6.0 + 1e-12)
-
-    def test_collar_blowup_dominates(self):
-        # near the boundary the guess follows -ln(distance) up to O(1)
-        grid = make_radial_grid(0.0, 1.0, 1025, m=3,
-                                grading=complete_grading(1025))
-        guess = initial_guess_complete(grid, 50.0, SubsolutionParams(), m=3)
-        d = boundary_distance(grid).values
-        sel = (d >= 1e-3) & (d <= 1e-2)
-        assert np.all(np.abs(guess.values[sel] + np.log(d[sel])) < 2.0)
-        # strict subsolution: the guess stays below the exact complete
-        # solution of the k = m ball
-        exact = einstein_exact_radial(3, 3, grid.nodes[:-1])
-        assert np.all(guess.values[:-1] < exact)
-
     def test_grading_halves_with_doubling(self):
         g1 = make_radial_grid(0.0, 1.0, 257, m=3,
                               grading=complete_grading(257))
@@ -228,7 +223,7 @@ def _converged(grid, k, data):
     cfg = flat_config(grid, k, boundary_data=data)
     state = solve_dirichlet(cfg)
     disc = cs._make_disc(cfg, state.background_scale)
-    bc, _ = cs._boundary_values(grid, data)
+    bc = cs._boundary_values(grid, data)
     return disc, state.u.values, bc
 
 

@@ -7,7 +7,6 @@ from sigmaric.domains import (
     background_ricci,
     boundary_distance,
     fd_derivatives,
-    hessian_comparison_bound,
     make_box_grid,
     make_radial_grid,
 )
@@ -205,26 +204,3 @@ class TestBoundaryDistance:
         assert np.abs(np.diff(d, axis=0)).max() <= 0.1 + 1e-12
         assert np.abs(np.diff(d, axis=1)).max() <= 0.1 + 1e-12
 
-
-class TestHessianComparison:
-    def test_flat_case(self):
-        assert hessian_comparison_bound(0.0, 2.0, 3) == pytest.approx(1.0)
-
-    def test_spherical_case(self):
-        assert hessian_comparison_bound(1.0, np.pi / 4, 3) == pytest.approx(
-            2.0
-        )
-
-    def test_hyperbolic_limit(self):
-        assert hessian_comparison_bound(-1.0, 50.0, 3) == pytest.approx(
-            2.0, abs=1e-10
-        )
-
-    def test_conjugate_point_raises(self):
-        with pytest.raises(ValueError):
-            hessian_comparison_bound(1.0, np.pi, 3)
-
-    def test_monotone_in_curvature(self):
-        Ks = np.linspace(-2.0, 2.0, 21)
-        vals = [hessian_comparison_bound(K, 1.0, 4) for K in Ks]
-        assert np.all(np.diff(vals) <= 1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import ricci_fd
+from sigmaric import surface_scalar
 from sigmaric.domains import ScalarField, fd_derivatives, make_box_grid
 from sigmaric.surface_scalar import (
     PolarDiskGrid,
@@ -116,6 +117,21 @@ class TestConformalBackground:
         rep = verify_positive_scalar(prob, solve_positive_scalar(prob))
         assert rep["residual"] <= 1e-8
         assert rep["positive"]
+
+    def test_operator_built_once(self, monkeypatch):
+        # solve and verify share the problem's Laplacian, R(g) and weight
+        builds = []
+
+        def counting(grid):
+            builds.append(grid)
+            return laplacian_matrix(grid)
+
+        monkeypatch.setattr(surface_scalar, "laplacian_matrix", counting)
+        g = make_polar_disk(1.0, 16, 16)
+        psi = ScalarField(g, 0.1 * (1.0 - np.sum(g.points**2, axis=1)))
+        prob = SurfaceProblem(grid=g, psi=psi)
+        verify_positive_scalar(prob, solve_positive_scalar(prob))
+        assert len(builds) == 1
 
     def test_conformal_identity_discrete(self):
         # e^{2u} R(e^{2u} g) = R(g) - 2 Delta_g u with R(e^{2u} g)
