@@ -15,6 +15,12 @@ Newton identities on traces, GMRES preconditioned by the fast
 diagonalization method).  Both take their pointwise algebra from symfun;
 the independent Chebyshev collocation oracle lives in radial_oracle and
 shares nothing with this module.
+
+Newton Jacobians are filled into the union pattern of the stencil
+operators they combine, built once per discretization.  Each iterate is
+evaluated once: the line search returns the residual at the point it
+accepts, and the Jacobian reuses what that evaluation built.  Newton
+never changes an iterate in place.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -168,7 +174,9 @@ class _RadialDisc:
 
     with c_f = f'/f (= 1/r on flat backgrounds) and rho_r, rho_t the
     radial/tangential eigenvalues of g^{-1} rho; sigma_k is evaluated on
-    the multiset {a, b x (m-1)}.
+    the multiset {a, b x (m-1)}.  The Jacobian reuses the residual's
+    (a, b, u') at the same (u, t) and is filled into the fixed pattern of
+    D2, D1, the identity and, on a ball, D1 at the centre row.
     """
 
     def __init__(self, config, bg_scale):
@@ -213,8 +221,15 @@ class _RadialDisc:
         self.bmask = grid.boundary_mask()
         self.ball_row = 0 if grid.is_ball else None
         self.pde = ~self.bmask
+        ops = [self.D2, self.D1, sp.identity(n)]
         if self.ball_row is not None:
             self.pde[self.ball_row] = False
+            # the ball row closes with du(0) = 0: D1 at that row
+            e = np.zeros(n)
+            e[self.ball_row] = 1.0
+            ops.append(sp.diags(e) @ self.D1)
+        self.pattern = _StencilPattern(ops)
+        self.stored = None
 
     def _eigen_pair(self, u, t):
         du = self.D1 @ u
@@ -232,6 +247,7 @@ class _RadialDisc:
 
     def residual(self, u, t, bc, fvals):
         a, b, du = self._eigen_pair(u, t)
+        self.stored = (u.copy(), t, (a, b, du))
         lam = np.stack([a] + [b] * (self.m - 1), axis=-1)
         esp = sigma_all_batch(lam)
         margin = esp[self.pde, 1 : self.k + 1].min()
@@ -243,7 +259,7 @@ class _RadialDisc:
         return F, margin
 
     def jacobian(self, u, t, fvals):
-        a, b, du = self._eigen_pair(u, t)
+        a, b, du = _take_stored(self, u, t) or self._eigen_pair(u, t)
         m, k = self.m, self.k
         # d sigma / da and d sigma / db for the multiset {a, b x (m-1)}
         sa = comb(m - 1, k - 1) * b ** (k - 1)
@@ -257,20 +273,13 @@ class _RadialDisc:
             + sb * ((2 * m - 3) * self.cf + 2 * (m - 2) * du)
         ) / c
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
-        # assemble with coefficients zeroed at non-PDE rows, then add the
-        # boundary closure rows; avoids sparse row surgery
+        # coefficients vanish at non-PDE rows, where the boundary closure
+        # (identity, or D1 at the ball row) is added instead
         w = self.pde / (1.0 + rhs)
-        J = (
-            sp.diags(coef2 * w) @ self.D2
-            + sp.diags(coef1 * w) @ self.D1
-            + sp.diags(-2.0 * k * rhs * w)
-            + sp.diags(self.bmask.astype(float))
-        )
+        coefs = [coef2 * w, coef1 * w, self.bmask - 2.0 * k * rhs * w]
         if self.ball_row is not None:
-            e = np.zeros(self.grid.n)
-            e[self.ball_row] = 1.0
-            J = J + sp.diags(e) @ self.D1
-        return J.tocsc()
+            coefs.append(np.ones(self.grid.n))
+        return self.pattern.fill(coefs).tocsc()
 
 
 class _BoxDisc:
@@ -280,7 +289,9 @@ class _BoxDisc:
     are handled by the callers through the substitution v = u + phi, which
     turns them into flat solves exactly.  sigma_j(W) comes from Newton's
     identities on traces, with no eigendecomposition, and the Jacobian is
-    one assembled matrix that _PrecondSolver solves by GMRES.
+    one assembled matrix that _PrecondSolver solves by GMRES.  It reuses
+    the residual's W and grad u at the same (u, t) and is filled into the
+    fixed pattern of the identity, D1[a] and D2[(a, b)].
     """
 
     def __init__(self, config, bg_scale):
@@ -304,6 +315,11 @@ class _BoxDisc:
         self.bmask = grid.boundary
         self.pde = ~self.bmask
         self.fdm = _FastDiag(grid)
+        ops = [sp.identity(grid.n)]
+        for a in range(self.m):
+            ops += [self.D1[a]] + [self.D2[(a, b)] for b in range(a, self.m)]
+        self.pattern = _StencilPattern(ops)
+        self.stored = None
 
     def _assemble(self, u, t):
         m = self.m
@@ -320,7 +336,8 @@ class _BoxDisc:
         return W, grad
 
     def residual(self, u, t, bc, fvals):
-        W, _ = self._assemble(u, t)
+        W, grad = self._assemble(u, t)
+        self.stored = (u.copy(), t, (W, grad))
         esp = sigma_all_matrix(W, self.k)
         margin = esp[self.pde, 1 : self.k + 1].min()
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
@@ -330,7 +347,7 @@ class _BoxDisc:
 
     def jacobian(self, u, t, fvals):
         m, k = self.m, self.k
-        W, grad = self._assemble(u, t)
+        W, grad = _take_stored(self, u, t) or self._assemble(u, t)
         T = newton_transform(W, k - 1)
         trT = np.trace(T, axis1=1, axis2=2)
         c = self.bg_scale
@@ -339,18 +356,75 @@ class _BoxDisc:
         c1 = 2.0 * (m - 2) * (trT[:, None] * grad - Tg) / c
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         w = self.pde / (1.0 + rhs)
-        J = sp.diags(self.bmask - 2.0 * k * rhs * w)
+        coefs = [self.bmask - 2.0 * k * rhs * w]
         for a in range(m):
-            J = J + sp.diags(c1[:, a] * w) @ self.D1[a]
+            coefs.append(c1[:, a] * w)
             for b in range(a, m):
                 mult = 1.0 if a == b else 2.0
-                J = J + sp.diags(mult * c2[:, a, b] * w) @ self.D2[(a, b)]
+                coefs.append(mult * c2[:, a, b] * w)
+        J = self.pattern.fill(coefs)
         # leading scale d = w tr(c2)/m is positive on PDE rows inside the
         # cone; the preconditioner divides those rows by it
         pde = self.pde
         scale = w[pde] * np.trace(c2[pde], axis1=1, axis2=2) / m
         shift = float(np.mean(-2.0 * k * rhs[pde] * w[pde] / scale))
-        return _BoxJacobian(J.tocsr(), scale, shift, self.fdm)
+        return _BoxJacobian(J, scale, shift, self.fdm)
+
+
+def _take_stored(disc, u, t):
+    """What the last residual evaluation stored on disc.stored, if it was
+    made at this (u, t), else None; either way it is released, so it is
+    not held through the linear solve."""
+    at, disc.stored = disc.stored, None
+    if at is not None and at[1] == t and np.array_equal(at[0], u):
+        return at[2]
+    return None
+
+
+class _StencilPattern:
+    """The union CSR pattern of a fixed list of operators A_i (each free
+    of duplicate entries), built once per discretization, with int32 maps
+    from each operator's entries to their places in it.
+
+    fill(c) returns sum_i diag(c_i) A_i by adding c_i[row] * A_i.data into
+    the pattern's data array term by term: every entry sums in the order
+    scipy.sparse products and sums of the same terms would, and entries
+    that come out exactly zero are dropped as they drop them, so SuperLU
+    sees the same matrix.
+    """
+
+    def __init__(self, ops):
+        self.shape = n_rows, n_cols = ops[0].shape
+        ops = [sp.csr_matrix(A) for A in ops]
+        self.terms = [(A.indptr, A.data) for A in ops]
+
+        def keys(A):  # row-major linear index of each entry
+            row = np.repeat(np.arange(n_rows, dtype=np.int64),
+                            np.diff(A.indptr))
+            return row * n_cols + A.indices
+
+        # one key buffer, sorted in place, keeps set-up memory small
+        sizes = np.cumsum([0] + [A.nnz for A in ops])
+        pattern = np.empty(sizes[-1], dtype=np.int64)
+        for A, lo, hi in zip(ops, sizes, sizes[1:]):
+            pattern[lo:hi] = keys(A)
+        pattern.sort()
+        pattern = pattern[np.append(True, pattern[1:] != pattern[:-1])]
+        self.indices = (pattern % n_cols).astype(np.int32)
+        self.indptr = np.searchsorted(
+            pattern, np.arange(n_rows + 1) * n_cols).astype(np.int32)
+        self.pos = [np.searchsorted(pattern, keys(A)).astype(np.int32)
+                    for A in ops]
+
+    def fill(self, coefs):
+        data = np.zeros(self.indices.size)
+        for pos, (indptr, vals), c in zip(self.pos, self.terms, coefs,
+                                          strict=True):
+            data[pos] += np.repeat(c, np.diff(indptr)) * vals
+        J = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                          shape=self.shape)
+        J.eliminate_zeros()
+        return J
 
 
 class _FastDiag:
@@ -449,11 +523,10 @@ def _make_disc(config, bg_scale):
 # Newton core
 
 
-def _line_search(disc, u, h, res, t, bc, fvals, config):
-    """Halve the step s from 1 until u + s h stays in the cone and lowers
-    the residual (or meets tol); returns (u, res, margin), or None once s
-    underflows 1e-8."""
-    s = 1.0
+def _line_search(disc, u, h, res, t, bc, fvals, config, s=1.0):
+    """Halve the step s from 1 (or the given start) until u + s h stays in
+    the cone and lowers the residual (or meets tol); returns (u, F, res,
+    margin) at the accepted point, or None once s underflows 1e-8."""
     while s >= 1e-8:
         u_new = u + s * h
         F_new, margin_new = disc.residual(u_new, t, bc, fvals)
@@ -461,38 +534,43 @@ def _line_search(disc, u, h, res, t, bc, fvals, config):
         if margin_new > config.cone_margin_min and (
             res_new < res or res_new <= config.tol_residual
         ):
-            return u_new, res_new, margin_new
+            return u_new, F_new, res_new, margin_new
         s *= 0.5
     return None
 
 
 def _damped_newton(disc, u, t, bc, fvals, config, trace):
-    """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res)."""
+    """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res,
+    F, margin), F and margin being the residual evaluation at the returned
+    u.  Each iterate is evaluated once: the line search's evaluation of
+    the point it accepts serves the next iteration."""
     tol = config.tol_residual
+    F, margin = disc.residual(u, t, bc, fvals)
     for it in range(config.max_newton):
-        F, margin = disc.residual(u, t, bc, fvals)
         res = np.max(np.abs(F))
         if res <= tol and margin > config.cone_margin_min:
-            return u, it, res
+            return u, it, res, F, margin
         h = _PrecondSolver().solve(disc.jacobian(u, t, fvals), -F)
+        s = 1.0
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is
         # the honest convergence measure there
         if np.max(np.abs(h)) <= 1e-9 * (1.0 + np.max(np.abs(u))):
             u_new = u + h
-            _, margin_new = disc.residual(u_new, t, bc, fvals)
+            F_new, margin_new = disc.residual(u_new, t, bc, fvals)
             if margin_new > config.cone_margin_min:
-                return u_new, it + 1, res
-        step = _line_search(disc, u, h, res, t, bc, fvals, config)
+                return u_new, it + 1, res, F_new, margin_new
+            s = 0.5  # the full step, just evaluated, leaves the cone
+        step = _line_search(disc, u, h, res, t, bc, fvals, config, s)
         if step is None:
             # stagnation at the rounding floor of the linearized solve
             if res <= max(100.0 * tol, 1e-6) and margin > 0:
-                return u, it, res
+                return u, it, res, F, margin
             raise ContinuationFailure(
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
                 trace,
             )
-        u = step[0]
+        u, F, _, margin = step
     raise ContinuationFailure(
         f"Newton did not converge at t={t:.4f}", trace
     )
@@ -503,14 +581,15 @@ def _follow(disc, u, config, trace, label, data):
 
     A failed step is retried at half the size, two successes double it up
     to t_step_init; each accepted step appends (label, s, its, res).
+    Returns u with the residual F and cone margin at (u, data(1)).
     """
     s, step, streak = 0.0, config.t_step_init, 0
     while s < 1.0:
         s_try = min(1.0, s + step)
         t, bc, fvals = data(s_try)
         try:
-            u_new, its, res = _damped_newton(
-                disc, u.copy(), t, bc, fvals, config, trace
+            u_new, its, res, F, margin = _damped_newton(
+                disc, u, t, bc, fvals, config, trace
             )
         except ContinuationFailure:
             step *= 0.5
@@ -523,26 +602,30 @@ def _follow(disc, u, config, trace, label, data):
         streak += 1
         if streak >= 2:
             step = min(2.0 * step, config.t_step_init)
-    return u
+    return u, F, margin
 
 
 def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
                   trace=None):
     """t: 0 -> 1 at zero data, then ramp boundary data and rhs factor.
     Given bc_start, u already solves t = 1 at that data: only the ramp
-    runs."""
+    runs.  The last phase ends at data(1) = (1, bc_target, f_target), so
+    its final residual evaluation is the one returned."""
     trace = [] if trace is None else trace
     n = disc.grid.n
     ones = np.ones(n)
+    F = None
     if bc_start is None:
         bc0 = np.zeros(n)
-        u = _follow(disc, u, config, trace, "t", lambda s: (s, bc0, ones))
+        u, F, margin = _follow(disc, u, config, trace, "t",
+                               lambda s: (s, bc0, ones))
     else:
         bc0 = bc_start
     if np.any(bc_target != bc0) or np.any(f_target != 1.0):
-        u = _follow(disc, u, config, trace, "ramp", lambda s: (
+        u, F, margin = _follow(disc, u, config, trace, "ramp", lambda s: (
             1.0, (1.0 - s) * bc0 + s * bc_target, f_target**s))
-    F, margin = disc.residual(u, 1.0, bc_target, f_target)
+    if F is None:
+        F, margin = disc.residual(u, 1.0, bc_target, f_target)
     return u, np.max(np.abs(F)), margin, trace
 
 
@@ -591,7 +674,7 @@ def newton_step(state, config):
         raise ContinuationFailure(
             f"damping underflow, residual {res:.2e}", state.trace
         )
-    u_new, res_new, margin_new = step
+    u_new, _, res_new, margin_new = step
     return HomotopyState(
         t=state.t,
         u=ScalarField(config.grid, u_new),
@@ -662,7 +745,7 @@ def solve_complete(config):
             break
         bc_next = _boundary_values(grid, j_next)
         u, res, margin, trace = _continuation(
-            disc, u_prev.copy(), config, bc_next, fvals,
+            disc, u_prev, config, bc_next, fvals,
             bc_start=bc, trace=trace,
         )
         drop = float((u_prev - u).max())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sigmaric.continuation_solver as cs
@@ -15,6 +16,7 @@ from sigmaric.continuation_solver import (
 from sigmaric.domains import (
     ScalarField,
     background_ricci,
+    box_derivative_operators,
     make_box_grid,
     make_radial_grid,
 )
@@ -241,6 +243,14 @@ def _radial_state():
     return disc, u, bc, np.cos(3.0 * r)
 
 
+def _ball_state():
+    # v has slope 1 at the centre, so the ball row du(0) = 0 sees it
+    grid = make_radial_grid(0.0, 1.0, 65, m=3)
+    r = grid.nodes
+    disc, u, bc = _converged(grid, 2, 0.5)
+    return disc, u, bc, np.cos(3.0 * r) + r
+
+
 class TestDiscreteJacobian:
     # the assembled Jacobian against central differences of the discrete
     # residual at a converged state; v must be smooth, since for a rough
@@ -248,10 +258,12 @@ class TestDiscreteJacobian:
     # the comparison (a standard normal v reads 4e-5 on the radial grid,
     # the smooth one 2e-8)
     @pytest.mark.parametrize("case", ["box-k1", "box-k2", "box-k3",
-                                      "radial-m4-k3"])
+                                      "radial-m4-k3", "radial-ball-m3-k2"])
     def test_matches_central_differences(self, case):
         if case.startswith("box"):
             disc, u, bc, v = _box_state(int(case[-1]))
+        elif case.startswith("radial-ball"):
+            disc, u, bc, v = _ball_state()
         else:
             disc, u, bc, v = _radial_state()
         ones = np.ones(u.size)
@@ -263,6 +275,88 @@ class TestDiscreteJacobian:
         fd = (Fp - Fm) / (2.0 * eps)
         err = np.max(np.abs(Jv - fd)) / np.max(np.abs(Jv))
         assert err <= 1e-6
+
+    # entries that cancel are dropped, as sparse sums drop them: stored
+    # zeros change SuperLU's ordering and with it the Newton path
+    @pytest.mark.parametrize("state", [_ball_state, _radial_state,
+                                       lambda: _box_state(2)],
+                             ids=["radial-ball", "radial-annulus", "box"])
+    def test_no_stored_zeros(self, state):
+        disc, u, _, _ = state()
+        J = disc.jacobian(u, 1.0, np.ones(u.size))
+        A = getattr(J, "matrix", J)
+        assert A.nnz == np.count_nonzero(A.data)
+
+
+class TestStencilPattern:
+    # the fill against the scipy.sparse products and sums it replaces: the
+    # same stored pattern and bitwise equal values, also where two terms
+    # cancel exactly (the repeated D1[0] with the negated coefficient)
+    def test_matches_sparse_sum(self):
+        grid = make_box_grid([0, 0, 0], [1.0, 0.5, 0.8], [6, 5, 4])
+        D1, D2 = box_derivative_operators(grid)
+        ops = [sp.identity(grid.n), D1[0], *D2.values(), D1[0]]
+        rng = np.random.default_rng(5)
+        coefs = [rng.standard_normal(grid.n) * (rng.random(grid.n) < 0.7)
+                 for _ in ops[:-1]]
+        coefs.append(-coefs[1])
+        pattern = cs._StencilPattern(ops)
+        J = pattern.fill(coefs)
+        ref = sp.diags(coefs[0]) @ ops[0]
+        for c, A in zip(coefs[1:], ops[1:]):
+            ref = ref + sp.diags(c) @ A
+        ref = ref.tocsr()
+        ref.sort_indices()
+        assert ref.nnz < pattern.indices.size  # entries did cancel
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(J, name), getattr(ref, name))
+
+
+class TestEvaluatedOnce:
+    # the line search's evaluation of the point it accepts serves the next
+    # Newton iteration, and the Jacobian reuses what the residual built at
+    # the same (u, t).  A point is (u, t, bc, f): a ramp step starts at the
+    # last step's (u, t = 1) with new data, which is a new residual
+    @pytest.mark.parametrize("case", ["radial", "box"])
+    def test_each_point_once(self, case, monkeypatch):
+        if case == "radial":
+            grid = make_radial_grid(0.5, 1.0, 65, m=4)
+            data = np.where(grid.nodes > 0.75, 0.5, 0.0)
+            cls, build, k = cs._RadialDisc, "_eigen_pair", 3
+        else:
+            grid = make_box_grid([0, 0, 0], [1, 1, 1], [9, 9, 9])
+            x, y, z = grid.points.T
+            data = 0.5 + 0.1 * np.sin(x + 2 * y - z)
+            cls, build, k = cs._BoxDisc, "_assemble", 2
+        points, builds, jacobians = [], [0], []
+        residual, jacobian = cls.residual, cls.jacobian
+        assemble = getattr(cls, build)
+
+        def counted_build(self, u, t):
+            builds[0] += 1
+            return assemble(self, u, t)
+
+        def recorded_residual(self, u, t, bc, fvals):
+            points.append((u.copy(), t, bc.copy(), fvals.copy()))
+            return residual(self, u, t, bc, fvals)
+
+        def recorded_jacobian(self, u, t, fvals):
+            last = points[-1]
+            follows = last[1] == t and np.array_equal(last[0], u)
+            before = builds[0]
+            J = jacobian(self, u, t, fvals)
+            jacobians.append((follows, builds[0] - before))
+            return J
+
+        monkeypatch.setattr(cls, build, counted_build)
+        monkeypatch.setattr(cls, "residual", recorded_residual)
+        monkeypatch.setattr(cls, "jacobian", recorded_jacobian)
+        solve_dirichlet(flat_config(grid, k, boundary_data=data))
+        for p, q in zip(points, points[1:]):
+            assert not (p[1] == q[1] and all(
+                np.array_equal(p[i], q[i]) for i in (0, 2, 3)))
+        assert jacobians and all(f for f, _ in jacobians)
+        assert sum(n for _, n in jacobians) == 0
 
 
 class TestBoxLinearSolve:
