@@ -75,15 +75,13 @@ class CCSetup:
 
     phi, when given, is the conformal exponent of the background
     gbar = e^{2 phi} delta as a ScalarField on the grid (None means flat).
-    The solver tolerances mirror SolveConfig.
+    tol_residual is every member's SolveConfig.tol_residual.
     """
 
     grid: object
     n: int
     phi: object = None
     tol_residual: float = 1e-10
-    core_tol: float = 1e-6
-    j_step: float = 2.0
 
     def __post_init__(self):
         if self.grid.m != self.n + 1:
@@ -129,11 +127,8 @@ def solve_family(setup):
             grid=grid,
             background=bg,
             k=k,
-            mode="complete-exhaustion",
             rhs_scale=constants(setup.n, k).beta_tilde,
             tol_residual=setup.tol_residual,
-            core_tol=setup.core_tol,
-            j_step=setup.j_step,
         )
         state = solve_complete(cfg)
         states.append(state)

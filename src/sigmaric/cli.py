@@ -73,56 +73,33 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-# every key a config file may set, with its parser
-_KEY_TYPES = {
-    "command": str,
-    "dim": int,
-    "k": int,
-    "n": int,
-    "domain": str,
-    "r0": float,
-    "r1": float,
-    "lo": str,
-    "hi": str,
-    "grid": str,
-    "grading": str,
-    "cluster": str,
-    "background": str,
-    "j": float,
-    "data_file": str,
-    "rhs_scale": float,
-    "tol": float,
-    "phi": str,
-    "curvature": str,
-    "psi": str,
-    "seed": int,
-    "out": str,
-    "csv": str,
-}
-
-_DEFAULTS = {
-    "dim": 3,
-    "k": None,
-    "n": 3,
-    "domain": "ball",
-    "r0": 0.5,
-    "r1": 1.0,
-    "lo": "0",
-    "hi": "1",
-    "grid": "257",
-    "grading": "auto",
-    "cluster": "outer",
-    "background": "flat",
-    "j": 0.0,
-    "data_file": None,
-    "rhs_scale": 1.0,
-    "tol": 1e-10,
-    "phi": None,
-    "curvature": None,
-    "psi": None,
-    "seed": 0,
-    "out": None,
-    "csv": None,
+# every key a config file may set: name -> (parser, default, flag help);
+# each key but command is also the flag --<name with hyphens>
+_KEYS = {
+    "command": (str, None, None),
+    "dim": (int, 3, "ambient dimension m"),
+    "k": (int, None, "symmetric-function order"),
+    "n": (int, 3, "boundary dimension (pe-invariant)"),
+    "domain": (str, "ball", "ball | annulus | box | disk (surface)"),
+    "r0": (float, 0.5, "inner radius (annulus)"),
+    "r1": (float, 1.0, "outer radius"),
+    "lo": (str, "0", "box corner, comma separated"),
+    "hi": (str, "1", "box corner, comma separated"),
+    "grid": (str, "257", "node counts, comma separated"),
+    "grading": (str, "auto", "radial grading ratio or 'auto'"),
+    "cluster": (str, "outer", "outer | both"),
+    "background": (str, "flat", "flat | warped:{sinh,sin,cosh} | "
+                   "flat-ball | flat-annulus (pe-invariant)"),
+    "j": (float, 0.0, "constant boundary data"),
+    "data_file": (str, None, "per-node boundary data file"),
+    "rhs_scale": (float, 1.0, None),
+    "tol": (float, 1e-10, "residual tolerance"),
+    "phi": (str, None, "conformal exponent expression in r"),
+    "curvature": (str, None, "curvature expression in x, y, r (surface)"),
+    "psi": (str, None, "background exponent expression (surface)"),
+    "seed": (int, 0, "seed for verify suites"),
+    "out": (str, None, "JSON result path"),
+    "csv": (str, None, "CSV field dump path"),
 }
 
 
@@ -143,10 +120,10 @@ def parse_config(text):
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEY_TYPES[key](val)
+            values[key] = _KEYS[key][0](val)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {exc}"
@@ -156,7 +133,7 @@ def parse_config(text):
 
 def resolve_config(args):
     """Merge defaults, config file, and flags (flags win)."""
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -164,7 +141,7 @@ def resolve_config(args):
         file_values = parse_config(path.read_text())
         file_values.pop("command", None)
         cfg.update(file_values)
-    for key in _KEY_TYPES:
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
@@ -348,17 +325,16 @@ def write_csv(path, grid, u):
     r = np.linalg.norm(pts, axis=1)
     with np.errstate(divide="ignore"):
         u_ln_r = u + np.log(r)
+    rows = np.column_stack([pts, r, u, u_ln_r]).tolist()
+    for row, finite in zip(rows, np.isfinite(u_ln_r)):
+        if not finite:
+            row[-1] = ""
     with open(path, "w", newline="") as fh:
+        # csv writes each float as its repr
         writer = csv.writer(fh)
         writer.writerow([f"x{a}" for a in range(pts.shape[1])]
                         + ["r", "u", "u_plus_ln_r"])
-        for i in range(pts.shape[0]):
-            writer.writerow(
-                [repr(float(x)) for x in pts[i]]
-                + [repr(float(r[i])), repr(float(u[i])),
-                   "" if not np.isfinite(u_ln_r[i])
-                   else repr(float(u_ln_r[i]))]
-            )
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +371,6 @@ def run_solve_complete(cfg):
         grid=grid,
         background=_make_background(cfg, grid),
         k=cfg["k"],
-        mode="complete-exhaustion",
         rhs_scale=cfg["rhs_scale"],
         tol_residual=cfg["tol"],
     )
@@ -602,35 +577,10 @@ def build_parser():
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--dim", type=int, help="ambient dimension m")
-        p.add_argument("--k", type=int, help="symmetric-function order")
-        p.add_argument("--n", type=int, help="boundary dimension "
-                       "(pe-invariant)")
-        p.add_argument("--domain",
-                       help="ball | annulus | box | disk (surface)")
-        p.add_argument("--r0", type=float, help="inner radius (annulus)")
-        p.add_argument("--r1", type=float, help="outer radius")
-        p.add_argument("--lo", help="box corner, comma separated")
-        p.add_argument("--hi", help="box corner, comma separated")
-        p.add_argument("--grid", help="node counts, comma separated")
-        p.add_argument("--grading", help="radial grading ratio or 'auto'")
-        p.add_argument("--cluster", help="outer | both")
-        p.add_argument("--background",
-                       help="flat | warped:{sinh,sin,cosh} | "
-                       "flat-ball | flat-annulus (pe-invariant)")
-        p.add_argument("--j", type=float, help="constant boundary data")
-        p.add_argument("--data-file", dest="data_file",
-                       help="per-node boundary data file")
-        p.add_argument("--rhs-scale", dest="rhs_scale", type=float)
-        p.add_argument("--tol", type=float, help="residual tolerance")
-        p.add_argument("--phi", help="conformal exponent expression in r")
-        p.add_argument("--curvature",
-                       help="curvature expression in x, y, r (surface)")
-        p.add_argument("--psi",
-                       help="background exponent expression (surface)")
-        p.add_argument("--seed", type=int, help="seed for verify suites")
-        p.add_argument("--out", help="JSON result path")
-        p.add_argument("--csv", help="CSV field dump path")
+        for key, (parse, _, text) in _KEYS.items():
+            if key != "command":
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=parse, help=text)
     return parser
 
 

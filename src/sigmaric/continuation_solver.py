@@ -68,35 +68,34 @@ class InvariantViolation(RuntimeError):
     """A structural property (e.g. exhaustion monotonicity) failed."""
 
 
+# How the solutions are computed, not part of the problem.
+T_STEP_INIT = 0.25  # first and largest continuation step
+MAX_NEWTON = 40  # Newton iterations per continuation step
+CONE_MARGIN_MIN = 1e-12  # least min_j sigma_j an accepted iterate keeps
+CORE_CUT_FRAC = 0.05  # the core: distance >= CORE_CUT_FRAC * diameter
+CORE_TOL = 1e-6  # core change at which the exhaustion rungs stop
+J_STEP = 2.0  # boundary constant of the first rung and step between rungs
+MAX_RUNGS = 40  # exhaustion rungs after the first
+
+
 @dataclass
 class SolveConfig:
-    """One solve: domain, background, order, boundary data, tolerances."""
+    """One problem: domain (grid), background metric, order k, boundary
+    data, the right-hand side rhs_scale * rhs_factor * e^{2ku}, and the
+    residual tolerance.  solve_dirichlet takes the boundary data;
+    solve_complete ignores it (the data are infinite)."""
 
     grid: object
     background: BackgroundMetric
     k: int
     boundary_data: object = 0.0
-    mode: str = "dirichlet"
     tol_residual: float = 1e-10
-    t_step_init: float = 0.25
-    max_newton: int = 40
-    cone_margin_min: float = 1e-12
     rhs_scale: float = 1.0
     rhs_factor: object = None
-    # complete-exhaustion knobs
-    core_cut_frac: float = 0.05
-    core_tol: float = 1e-6
-    j_step: float = 2.0
-    j_cap: float = None
-    max_rungs: int = 40
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.cone_margin_min <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.t_step_init <= 1.0:
-            raise ValueError("t_step_init must lie in (0, 1]")
-        if self.mode not in ("dirichlet", "complete-exhaustion"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
         if not 1 <= self.k <= self.grid.m:
             raise ValueError("need 1 <= k <= m")
 
@@ -531,7 +530,7 @@ def _line_search(disc, u, h, res, t, bc, fvals, config, s=1.0):
         u_new = u + s * h
         F_new, margin_new = disc.residual(u_new, t, bc, fvals)
         res_new = np.max(np.abs(F_new))
-        if margin_new > config.cone_margin_min and (
+        if margin_new > CONE_MARGIN_MIN and (
             res_new < res or res_new <= config.tol_residual
         ):
             return u_new, F_new, res_new, margin_new
@@ -546,9 +545,9 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
     the point it accepts serves the next iteration."""
     tol = config.tol_residual
     F, margin = disc.residual(u, t, bc, fvals)
-    for it in range(config.max_newton):
+    for it in range(MAX_NEWTON):
         res = np.max(np.abs(F))
-        if res <= tol and margin > config.cone_margin_min:
+        if res <= tol and margin > CONE_MARGIN_MIN:
             return u, it, res, F, margin
         h = _PrecondSolver().solve(disc.jacobian(u, t, fvals), -F)
         s = 1.0
@@ -558,7 +557,7 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
         if np.max(np.abs(h)) <= 1e-9 * (1.0 + np.max(np.abs(u))):
             u_new = u + h
             F_new, margin_new = disc.residual(u_new, t, bc, fvals)
-            if margin_new > config.cone_margin_min:
+            if margin_new > CONE_MARGIN_MIN:
                 return u_new, it + 1, res, F_new, margin_new
             s = 0.5  # the full step, just evaluated, leaves the cone
         step = _line_search(disc, u, h, res, t, bc, fvals, config, s)
@@ -580,10 +579,10 @@ def _follow(disc, u, config, trace, label, data):
     """Follow s: 0 -> 1 by damped Newton on data(s) = (t, bc, fvals).
 
     A failed step is retried at half the size, two successes double it up
-    to t_step_init; each accepted step appends (label, s, its, res).
+    to T_STEP_INIT; each accepted step appends (label, s, its, res).
     Returns u with the residual F and cone margin at (u, data(1)).
     """
-    s, step, streak = 0.0, config.t_step_init, 0
+    s, step, streak = 0.0, T_STEP_INIT, 0
     while s < 1.0:
         s_try = min(1.0, s + step)
         t, bc, fvals = data(s_try)
@@ -601,7 +600,7 @@ def _follow(disc, u, config, trace, label, data):
         trace.append((label, s, its, res))
         streak += 1
         if streak >= 2:
-            step = min(2.0 * step, config.t_step_init)
+            step = min(2.0 * step, T_STEP_INIT)
     return u, F, margin
 
 
@@ -685,13 +684,13 @@ def newton_step(state, config):
     )
 
 
-def complete_grading(n, alpha=10.0):
-    """Per-step grading ratio giving a fixed total clustering factor.
+def complete_grading(n):
+    """Per-step grading ratio giving the total clustering factor e^10.
 
-    Keeping exp(alpha) fixed while n doubles halves every spacing, so
+    Keeping the total fixed while n doubles halves every spacing, so
     convergence studies on complete solves see clean second-order decay.
     """
-    return float(np.exp(alpha / (n - 1)))
+    return float(np.exp(10.0 / (n - 1)))
 
 
 def _min_spacing(grid):
@@ -707,40 +706,37 @@ def _domain_diameter(grid):
 
 
 def solve_complete(config):
-    """Complete (infinite boundary data) solve by exhaustion.
+    """Complete (infinite boundary data) solve by exhaustion; the
+    config's boundary_data is not used.
 
     Dirichlet solves with boundary constants j = 2, 4, ... are warm-started
-    from one another and stopped once the solution is Cauchy on the compact
-    core or j reaches the resolution cap -ln(5 h_min).  The rung sequence
-    converges geometrically (ratio e^{-j_step} nodewise), so the limit is
-    estimated by Aitken extrapolation of the last three rungs; that removes
-    the finite-j tail and leaves the discretization error.  The returned
-    state carries an asymptotics report: the fitted constant of
-    u + ln(distance) over a near-boundary window, the window, and the fit
-    residual.
+    from one another and stopped once the solution changes by at most
+    CORE_TOL on the compact core or j reaches the resolution cap
+    max(J_STEP, -ln(5 h_min)).  The rung sequence converges geometrically
+    (ratio e^{-J_STEP} nodewise), so the limit is estimated by Aitken
+    extrapolation of the last three rungs; that removes the finite-j tail
+    and leaves the discretization error.  The returned state carries an
+    asymptotics report: the fitted constant of u + ln(distance) over a
+    near-boundary window, the window, and the fit residual.
     """
-    if config.mode != "complete-exhaustion":
-        raise ValueError("solve_complete needs mode='complete-exhaustion'")
     grid = config.grid
     bg_scale = _background_prescale(config.background)
     disc = _make_disc(config, bg_scale)
     fvals = _rhs_factor_values(grid, config.rhs_factor)
     d = boundary_distance(grid).values
     diam = _domain_diameter(grid)
-    core = d >= config.core_cut_frac * diam
+    core = d >= CORE_CUT_FRAC * diam
     h_min = _min_spacing(grid)
-    j_cap = config.j_cap
-    if j_cap is None:
-        j_cap = max(config.j_step, -log(5.0 * h_min))
+    j_cap = max(J_STEP, -log(5.0 * h_min))
 
-    j = config.j_step
+    j = J_STEP
     bc = _boundary_values(grid, j)
     u, res, margin, trace = _continuation(disc, np.zeros(grid.n), config,
                                           bc, fvals)
     rungs = [(j, u)]
     u_prev = u
-    for _ in range(config.max_rungs):
-        j_next = j + config.j_step
+    for _ in range(MAX_RUNGS):
+        j_next = j + J_STEP
         if j_next > j_cap + 1e-12:
             break
         bc_next = _boundary_values(grid, j_next)
@@ -757,7 +753,7 @@ def solve_complete(config):
         trace.append(("rung", j_next, 0, delta_core))
         j, bc, u_prev = j_next, bc_next, u
         rungs.append((j, u))
-        if delta_core <= config.core_tol:
+        if delta_core <= CORE_TOL:
             break
 
     extrapolated = False

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_MAX_NEWTON = 60  # Newton iterations per continuation step
 
 
 class BvpFailure(RuntimeError):
@@ -163,8 +164,7 @@ def _barycentric(xn, yn, xe):
     return out
 
 
-def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10,
-              max_newton=60):
+def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
     """Radial sigma_k Dirichlet solve by Chebyshev collocation.
 
     Solves sigma_k({lam_rad, lam_tan x (m-1)}) = rhs_scale e^{2kw} on
@@ -188,7 +188,7 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10,
     - ``damping-floor``: no damped step lowers the residual and it is
       already at most max(100 tol, 1e-5); w is accepted.
 
-    A Newton solve that stops by none of them within max_newton iterations,
+    A Newton solve that stops by none of them within _MAX_NEWTON iterations,
     or whose damping underflows above that bound, fails; the continuation
     then halves its step and retries, and raises BvpFailure, carrying the
     trace of the accepted steps, once the step falls below 1e-6.
@@ -207,7 +207,7 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10,
     trace = []
 
     def newton(t, b1, b0, w):
-        for it in range(max_newton):
+        for it in range(_MAX_NEWTON):
             F, J = _collocation_system(
                 w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball
             )
@@ -251,34 +251,23 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10,
             w = w_new
         raise BvpFailure(f"Newton stagnated at t={t:.4f}", trace)
 
-    # continuation in t with the anchor boundary data 0
-    t, step = 0.0, 0.25
-    while t < 1.0:
-        t_try = min(1.0, t + step)
-        try:
-            w_new, its, res, rule = newton(t_try, 0.0, 0.0, w.copy())
-        except BvpFailure:
-            step *= 0.5
-            if step < 1e-6:
-                raise
-            continue
-        w, t = w_new, t_try
-        trace.append((t, its, res, rule))
-    # ramp the boundary data at t = 1
-    s, step = 0.0, 0.25
-    while s < 1.0:
-        s_try = min(1.0, s + step)
-        try:
-            w_new, its, res, rule = newton(
-                1.0, s_try * j1, s_try * (j0 or 0.0), w.copy()
-            )
-        except BvpFailure:
-            step *= 0.5
-            if step < 1e-6:
-                raise
-            continue
-        w, s = w_new, s_try
-        trace.append((1.0 + s, its, res, rule))
+    # continuation in t with the anchor boundary data 0, then a ramp of
+    # the boundary data at t = 1; (t, b1, b0) at s in (0, 1]
+    phases = ((0.0, lambda s: (s, 0.0, 0.0)),
+              (1.0, lambda s: (1.0, s * j1, s * (j0 or 0.0))))
+    for offset, data in phases:
+        s, step = 0.0, 0.25
+        while s < 1.0:
+            s_try = min(1.0, s + step)
+            try:
+                w_new, its, res, rule = newton(*data(s_try), w.copy())
+            except BvpFailure:
+                step *= 0.5
+                if step < 1e-6:
+                    raise
+                continue
+            w, s = w_new, s_try
+            trace.append((offset + s, its, res, rule))
     dw, d2w = D @ w, D2 @ w
     order = np.argsort(r)
     return RadialProfile(

@@ -53,7 +53,7 @@ def _report(num, ok, detail):
 def _complete_ball(n, m, k):
     grid = make_radial_grid(0.0, 1.0, n, m=m, grading=complete_grading(n))
     cfg = SolveConfig(grid=grid, background=background_ricci(grid, "flat"),
-                      k=k, mode="complete-exhaustion")
+                      k=k)
     return grid, solve_complete(cfg)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -54,6 +55,50 @@ class TestFlagPrecedence:
         assert record["config"]["domain"] == "annulus"
 
 
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return parser, action.choices
+
+
+_SAMPLE = {int: "5", float: "0.25", str: "abc"}
+
+
+class TestFlagFileParity:
+    """Every config key but command is a flag of every subcommand, and a
+    config-file line and the flag resolve to the same typed value."""
+
+    def test_flags_are_the_keys(self):
+        _, subs = _subparsers()
+        keys = [key for key in cli._KEYS if key != "command"]
+        for name, sub in subs.items():
+            dests = {opt: a.dest for a in sub._actions
+                     for opt in a.option_strings}
+            expect = {"--" + key.replace("_", "-"): key for key in keys}
+            expect.update({"-h": "help", "--help": "help",
+                           "--config": "config"})
+            assert dests == expect, name
+
+    def test_file_line_matches_flag(self, tmp_path):
+        parser, subs = _subparsers()
+        cfgfile = tmp_path / "run.cfg"
+        for key, (parse, _, _) in cli._KEYS.items():
+            if key == "command":
+                continue
+            text = _SAMPLE[parse]
+            cfgfile.write_text(f"{key} = {text}\n")
+            flag = "--" + key.replace("_", "-")
+            for name in subs:
+                from_file = cli.resolve_config(
+                    parser.parse_args([name, "--config", str(cfgfile)]))
+                from_flag = cli.resolve_config(
+                    parser.parse_args([name, flag, text]))
+                assert from_file == from_flag, (name, key)
+                assert type(from_flag[key]) is parse
+                assert from_flag[key] == parse(text)
+
+
 class TestRecords:
     def test_schema_validation(self, tmp_path):
         record = write_record(
@@ -107,6 +152,16 @@ class TestCsv:
         last = lines[-1].split(",")
         assert float(last[1]) == 1.0
         assert float(last[3]) == pytest.approx(2.0)
+        # every field reads back as exactly the float written
+        r = grid.nodes
+        with np.errstate(divide="ignore"):
+            expect = np.column_stack([r, r, u, u + np.log(r)])
+        for line, values in zip(lines[1:], expect, strict=True):
+            for field, value in zip(line.split(","), values, strict=True):
+                if np.isfinite(value):
+                    assert float(field) == value
+                else:
+                    assert field == ""
 
 
 class TestExitCodes:

@@ -36,9 +36,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(grid=grid, background=bg, k=4)
         with pytest.raises(ValueError):
-            SolveConfig(grid=grid, background=bg, k=2, mode="robin")
-        with pytest.raises(ValueError):
-            SolveConfig(grid=grid, background=bg, k=2, t_step_init=0.0)
+            SolveConfig(grid=grid, background=bg, k=2, tol_residual=0.0)
 
     def test_boundary_data_length(self):
         grid = make_radial_grid(0.5, 1.0, 33, m=3)
@@ -112,7 +110,7 @@ class TestDirichletRadial:
             steps = np.diff(params)
             assert params[-1] == 1.0
             assert np.all(steps > 0)
-            assert np.all(steps <= cfg.t_step_init)
+            assert np.all(steps <= cs.T_STEP_INIT)
         assert steps.min() < 0.25  # steps of the ramp, the last phase
 
     def test_warped_background(self):
@@ -203,7 +201,7 @@ class TestComplete:
         n = 512
         grid = make_radial_grid(0.0, 1.0, n, m=3,
                                 grading=complete_grading(n))
-        cfg = flat_config(grid, 3, mode="complete-exhaustion")
+        cfg = flat_config(grid, 3)
         state = solve_complete(cfg)
         core = grid.nodes <= 0.9
         exact = einstein_exact_radial(3, 3, grid.nodes[core])
@@ -213,11 +211,6 @@ class TestComplete:
         assert rep["matches_half_log"]
         assert abs(rep["constant"] - rep["einstein_reference"]) < 1e-2
         assert rep["j_final"] <= rep["j_cap"]
-
-    def test_mode_guard(self):
-        grid = make_radial_grid(0.0, 1.0, 65, m=3)
-        with pytest.raises(ValueError):
-            solve_complete(flat_config(grid, 2))
 
 
 def _converged(grid, k, data):
