@@ -94,8 +94,7 @@ def sigma_pair(a, b, k, m):
 def _sigma_pair_margin(a, b, k, m):
     """min over j <= k of sigma_j({a, b x (m-1)})."""
     lams = np.stack([a] + [b] * (m - 1), axis=-1)
-    e = np.apply_along_axis(sigma_all, -1, lams)
-    return e[..., 1 : k + 1].min(axis=-1)
+    return sigma_all(lams)[..., 1 : k + 1].min(axis=-1)
 
 
 def einstein_boundary_constant(m, k):
@@ -331,6 +330,11 @@ def _admissible_residual(w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball):
     base = (1.0 - t) * anchor
     a = base + (m - 1) * (d2w + dw_over_r)
     b = base + d2w + (2 * m - 3) * dw_over_r + (m - 2) * dw**2
+    # a trial point that overflows is rejected like one outside the cone,
+    # so that the line search halves its step
+    if not (np.isfinite(w).all() and np.isfinite(a).all()
+            and np.isfinite(b).all()):
+        return False, np.inf
     if np.any(_sigma_pair_margin(a, b, k, m) <= 0.0):
         return False, np.inf
     e2kw = np.exp(2.0 * k * w)

@@ -34,17 +34,28 @@ def _as_vector(lam):
 def sigma_all(lam):
     """All elementary symmetric polynomials e_0..e_m of the entries of lam.
 
+    lam is one eigenvalue vector or an (..., m) stack of them, one vector
+    per node; returns an (..., m+1) array.  Checked: lam must be at least
+    1-d with a nonempty last axis and finite entries, else ValueError.
     Uses the stable one-root-at-a-time recurrence (polynomial expansion),
-    which is exact for integer inputs up to rounding.
+    which is exact for integer inputs up to rounding.  The root axis is
+    swapped to the front of a contiguous copy, so each update is one pass
+    over all nodes; every entry sees the same operations in the same
+    order as a row-by-row evaluation.
     """
-    lam = _as_vector(lam)
-    m = lam.size
-    e = np.zeros(m + 1)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim < 1 or lam.shape[-1] < 1:
+        raise ValueError("eigenvalue vector must be at least 1-d and nonempty")
+    if not np.isfinite(lam).all():
+        raise ValueError("eigenvalue vector must be finite")
+    m = lam.shape[-1]
+    roots = np.ascontiguousarray(np.swapaxes(lam, -1, 0))
+    e = np.zeros((m + 1,) + roots.shape[1:])
     e[0] = 1.0
-    for x in lam:
-        # e_j <- e_j + x * e_{j-1}, updated in place from the top
+    for x in roots:
+        # e_j <- e_j + x * e_{j-1} for all j, from the old e_{j-1}
         e[1:] = e[1:] + x * e[:-1]
-    return e
+    return np.swapaxes(e, 0, -1)
 
 
 def sigma_k(lam, k):
@@ -137,19 +148,23 @@ def cone_contains(lam, k):
 
 
 def sigma_all_batch(lams):
-    """sigma_all applied along the last axis of an (..., m) array.
+    """e_0..e_m along the last axis of an (..., m) array, unchecked.
 
     Returns an (..., m+1) array; used by the grid solvers where sigma_j is
-    needed at every node at once.
+    needed at every node at once.  The same recurrence and node-contiguous
+    layout as sigma_all, kept separate so that the collocation oracle
+    shares no code with the solvers, and without its checks: non-finite
+    entries give non-finite sigma_j instead of an error, and a solver's
+    line search rejects the trial point by its cone margin or residual.
     """
     lams = np.asarray(lams, dtype=float)
     m = lams.shape[-1]
-    e = np.zeros(lams.shape[:-1] + (m + 1,))
-    e[..., 0] = 1.0
-    for i in range(m):
-        x = lams[..., i : i + 1]
-        e[..., 1:] = e[..., 1:] + x * e[..., :-1]
-    return e
+    roots = np.ascontiguousarray(np.swapaxes(lams, -1, 0))
+    e = np.zeros((m + 1,) + roots.shape[1:])
+    e[0] = 1.0
+    for x in roots:
+        e[1:] = e[1:] + x * e[:-1]
+    return np.swapaxes(e, 0, -1)
 
 
 def maclaurin_ratios(lam, k):

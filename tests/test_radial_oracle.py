@@ -3,6 +3,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
+from sigmaric import radial_oracle
 from sigmaric.conformal_ops import (
     HomotopyParams,
     PointwiseCurvatureState,
@@ -10,6 +11,9 @@ from sigmaric.conformal_ops import (
     wt_eigenvalues,
 )
 from sigmaric.radial_oracle import (
+    _admissible_residual,
+    _cheb_nodes_and_diff,
+    _sigma_pair_margin,
     bvp_solve,
     einstein_boundary_constant,
     einstein_exact,
@@ -101,6 +105,57 @@ class TestEinsteinExact:
             )
             res = sigma_pair(a, b, k, m) - np.exp(2 * k * w)
             assert abs(res) <= 1e-10 * max(1.0, np.exp(2 * k * w))
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_margin_matches_closed_form(self, m):
+        rng = np.random.default_rng(40 + m)
+        a = rng.normal(0.0, 2.0, 500)
+        b = rng.normal(0.0, 2.0, 500)
+        top = np.maximum(np.abs(a), np.abs(b))
+        for k in range(1, m + 1):
+            ref = np.min(
+                [sigma_pair(a, b, j, m) for j in range(1, k + 1)], axis=0
+            )
+            scale = np.max(
+                [comb(m, j) * top**j for j in range(1, k + 1)], axis=0
+            )
+            err = np.abs(_sigma_pair_margin(a, b, k, m) - ref)
+            assert np.all(err <= 1e-12 * scale)
+
+    def test_non_finite_trial_point_rejected(self):
+        # an overflowing trial point must be rejected so that the line
+        # search halves its step, not raise out of bvp_solve
+        n, r0, r1, m, k = 32, 0.5, 1.0, 4, 3
+        xi, Dxi = _cheb_nodes_and_diff(n)
+        r = r0 + (r1 - r0) * (1.0 + xi) / 2.0
+        D = Dxi * (2.0 / (r1 - r0))
+        w = np.zeros(n + 1)
+        w[n // 2] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _admissible_residual(
+                w, r, D, D @ D, 1.0, k, m, 1.0, 0.5, 0.0, False
+            )
+        assert got == (False, np.inf)
+
+    def test_one_sigma_all_call_per_margin(self, monkeypatch):
+        calls = {"sigma_all": 0, "admissible": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(radial_oracle, "sigma_all",
+                            counting("sigma_all", radial_oracle.sigma_all))
+        monkeypatch.setattr(
+            radial_oracle, "_admissible_residual",
+            counting("admissible", radial_oracle._admissible_residual))
+        bvp_solve(0.5, 1.0, m=3, k=2, j1=0.5, j0=0.0, n=24)
+        assert calls["admissible"] > 0
+        assert calls["sigma_all"] == calls["admissible"]
 
 
 class TestBvpSolve:

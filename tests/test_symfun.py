@@ -10,6 +10,7 @@ from sigmaric.symfun import (
     cone_contains,
     maclaurin_ratios,
     newton_transform,
+    sigma_all,
     sigma_all_batch,
     sigma_all_matrix,
     sigma_from_matrix,
@@ -65,6 +66,49 @@ class TestSigmaK:
         for i in range(50):
             for k in range(1, 5):
                 assert e[i, k] == pytest.approx(sigma_k(lams[i], k))
+
+
+def per_row(lams):
+    """sigma_all applied vector by vector to an (..., m) stack."""
+    out = np.empty(lams.shape[:-1] + (lams.shape[-1] + 1,))
+    for idx in np.ndindex(lams.shape[:-1]):
+        out[idx] = sigma_all(lams[idx])
+    return out
+
+
+class TestSigmaAllStack:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_stack_matches_rows_bitwise(self, m):
+        rng = np.random.default_rng(100 + m)
+        for shape in ((37, m), (4, 5, m)):
+            lams = rng.normal(0.0, 2.0, shape)
+            e = sigma_all(lams)
+            assert e.shape == shape[:-1] + (m + 1,)
+            assert np.array_equal(e, per_row(lams))
+            assert np.array_equal(sigma_all_batch(lams), e)
+
+    def test_rejects_bad_stacks(self):
+        lams = np.ones((3, 4, 5))
+        for bad in (np.nan, np.inf, -np.inf):
+            for idx in ((0, 0, 0), (2, 3, 4), (1, 2, 0)):
+                stack = lams.copy()
+                stack[idx] = bad
+                with pytest.raises(ValueError):
+                    sigma_all(stack)
+        with pytest.raises(ValueError):
+            sigma_all(np.ones((4, 0)))
+        with pytest.raises(ValueError):
+            sigma_all(np.float64(2.0))
+
+    def test_batch_passes_non_finite_through(self):
+        # the radial line search rejects such a point by its margin
+        lams = np.ones((6, 4))
+        lams[2, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            e = sigma_all_batch(lams)
+        assert not np.all(np.isfinite(e[2, 1:]))
+        finite = [0, 1, 3, 4, 5]
+        assert np.array_equal(e[finite], per_row(lams[finite]))
 
 
 class TestSigmaAllMatrix:
