@@ -540,15 +540,19 @@ def _line_search(disc, u, h, res, t, bc, fvals, config, s=1.0):
 
 def _damped_newton(disc, u, t, bc, fvals, config, trace):
     """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res,
-    F, margin), F and margin being the residual evaluation at the returned
-    u.  Each iterate is evaluated once: the line search's evaluation of
-    the point it accepts serves the next iteration."""
+    F, margin, rule), F, res = max|F| and margin being the residual
+    evaluation at the returned u and rule the stop rule: ``residual``
+    (res <= tol), ``increment`` (a full step below 1e-9 (1 + |u|) that
+    stays in the cone) or ``damping-floor`` (no damped step lowers a
+    residual already at most max(100 tol, 1e-6)).  Each iterate is
+    evaluated once: the line search's evaluation of the point it accepts
+    serves the next iteration."""
     tol = config.tol_residual
     F, margin = disc.residual(u, t, bc, fvals)
     for it in range(MAX_NEWTON):
         res = np.max(np.abs(F))
         if res <= tol and margin > CONE_MARGIN_MIN:
-            return u, it, res, F, margin
+            return u, it, res, F, margin, "residual"
         h = _PrecondSolver().solve(disc.jacobian(u, t, fvals), -F)
         s = 1.0
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
@@ -558,13 +562,14 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
             u_new = u + h
             F_new, margin_new = disc.residual(u_new, t, bc, fvals)
             if margin_new > CONE_MARGIN_MIN:
-                return u_new, it + 1, res, F_new, margin_new
+                return (u_new, it + 1, np.max(np.abs(F_new)), F_new,
+                        margin_new, "increment")
             s = 0.5  # the full step, just evaluated, leaves the cone
         step = _line_search(disc, u, h, res, t, bc, fvals, config, s)
         if step is None:
             # stagnation at the rounding floor of the linearized solve
             if res <= max(100.0 * tol, 1e-6) and margin > 0:
-                return u, it, res, F, margin
+                return u, it, res, F, margin, "damping-floor"
             raise ContinuationFailure(
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
                 trace,
@@ -578,17 +583,27 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
 def _follow(disc, u, config, trace, label, data):
     """Follow s: 0 -> 1 by damped Newton on data(s) = (t, bc, fvals).
 
-    A failed step is retried at half the size, two successes double it up
-    to T_STEP_INIT; each accepted step appends (label, s, its, res).
-    Returns u with the residual F and cone margin at (u, data(1)).
+    Newton for s_try starts from the secant predictor through the last
+    two accepted points (s0, u0) and (s1, u1),
+    u1 + (s_try - s1) / (s1 - s0) (u1 - u0); the first step of the phase,
+    with one point, starts from u1.  The start need not lie in the cone:
+    _damped_newton only returns cone-safe iterates.  A failed step is
+    retried at half the size, predicted again from the same points; two
+    successes double it up to T_STEP_INIT.  Each accepted step appends
+    (label, s, its, res, rule).  Returns u with the residual F and cone
+    margin at (u, data(1)).
     """
     s, step, streak = 0.0, T_STEP_INIT, 0
+    prev = None  # the accepted point before (s, u), once there is one
     while s < 1.0:
         s_try = min(1.0, s + step)
         t, bc, fvals = data(s_try)
+        start = u
+        if prev is not None:
+            start = u + (s_try - s) / (s - prev[0]) * (u - prev[1])
         try:
-            u_new, its, res, F, margin = _damped_newton(
-                disc, u, t, bc, fvals, config, trace
+            u_new, its, res, F, margin, rule = _damped_newton(
+                disc, start, t, bc, fvals, config, trace
             )
         except ContinuationFailure:
             step *= 0.5
@@ -596,8 +611,8 @@ def _follow(disc, u, config, trace, label, data):
             if step < 1e-6:
                 raise
             continue
-        u, s = u_new, s_try
-        trace.append((label, s, its, res))
+        prev, u, s = (s, u), u_new, s_try
+        trace.append((label, s, its, res, rule))
         streak += 1
         if streak >= 2:
             step = min(2.0 * step, T_STEP_INIT)

@@ -170,7 +170,11 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
     [r0, r1] with w(r1) = j1 and, on annuli, w(r0) = j0; on balls (r0 = 0)
     the regularity condition w'(0) = 0 replaces the inner datum.  The
     nonlinear collocated system is solved by damped Newton with continuation
-    first in the homotopy parameter t and then in the boundary data.
+    first in the homotopy parameter t and then in the boundary data.  Each
+    continuation step after the first of its phase starts Newton from the
+    secant predictor through the last two accepted points (s0, w0) and
+    (s1, w1), w1 + (s_try - s1) / (s1 - s0) (w1 - w0), or from w1 when that
+    guess leaves the Garding cone, so Newton always starts admissible.
 
     tol is a target for the max-norm of the row-scaled residual, not a
     guarantee.  Forming D2 @ w alone leaves a rounding floor of about
@@ -189,8 +193,9 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
 
     A Newton solve that stops by none of them within _MAX_NEWTON iterations,
     or whose damping underflows above that bound, fails; the continuation
-    then halves its step and retries, and raises BvpFailure, carrying the
-    trace of the accepted steps, once the step falls below 1e-6.
+    then halves its step and retries, predicting again from the same two
+    points, and raises BvpFailure, carrying the trace of the accepted
+    steps, once the step falls below 1e-6.
     """
     if r0 < 0 or r1 <= r0:
         raise ValueError("need 0 <= r0 < r1")
@@ -256,16 +261,24 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
               (1.0, lambda s: (1.0, s * j1, s * (j0 or 0.0))))
     for offset, data in phases:
         s, step = 0.0, 0.25
+        prev = None  # the accepted point before (s, w), once there is one
         while s < 1.0:
             s_try = min(1.0, s + step)
+            t, b1, b0 = data(s_try)
+            start = w
+            if prev is not None:
+                guess = w + (s_try - s) / (s - prev[0]) * (w - prev[1])
+                if _admissible_residual(guess, r, D, D2, t, k, m, rhs_scale,
+                                        b1, b0, is_ball)[0]:
+                    start = guess
             try:
-                w_new, its, res, rule = newton(*data(s_try), w.copy())
+                w_new, its, res, rule = newton(t, b1, b0, start)
             except BvpFailure:
                 step *= 0.5
                 if step < 1e-6:
                     raise
                 continue
-            w, s = w_new, s_try
+            prev, w, s = (s, w), w_new, s_try
             trace.append((offset + s, its, res, rule))
     dw, d2w = D @ w, D2 @ w
     order = np.argsort(r)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import log
 
+import sigmaric.cc_invariants as cc
 from sigmaric.cc_invariants import (
     CCSetup,
     compute_Hk,
@@ -199,3 +200,46 @@ class TestBenchmarkTolerance:
         f2 = ScalarField(g2, np.zeros(65))
         with pytest.raises(ValueError):
             compute_Hk([f1, f2])
+
+
+class TestDetectionThreshold:
+    @staticmethod
+    def counted_solves(monkeypatch):
+        calls = [0]
+        solve = cc.solve_complete
+
+        def counted(config):
+            calls[0] += 1
+            return solve(config)
+
+        monkeypatch.setattr(cc, "solve_complete", counted)
+        return calls
+
+    def test_ball_model_reuses_its_family(self, monkeypatch):
+        # the unit-ball model family is the one the threshold measures, so
+        # its report solves no second family, and the threshold is the
+        # same number the separate measurement gives
+        setup = ball_setup(nodes=96)
+        calls = self.counted_solves(monkeypatch)
+        rep = detection_report(solve_family(setup))
+        assert calls[0] == 4
+        assert rep["threshold"] == 10.0 * einstein_benchmark_tolerance(
+            3, 96, grading=setup.grid.grading)
+
+    @pytest.mark.parametrize("change", ["phi", "tol", "radius"])
+    def test_other_families_measure_the_ball(self, change, monkeypatch):
+        setup = ball_setup(nodes=96)
+        grid = setup.grid
+        if change == "phi":
+            setup = CCSetup(grid=grid, n=3, phi=ScalarField(
+                grid, 0.1 * grid.nodes**2))
+        elif change == "tol":
+            setup = CCSetup(grid=grid, n=3, tol_residual=1e-9)
+        else:
+            setup = CCSetup(grid=make_radial_grid(
+                0.0, 0.9, 96, m=4, grading=grid.grading), n=3)
+        calls = self.counted_solves(monkeypatch)
+        rep = detection_report(solve_family(setup))
+        assert calls[0] == 8
+        assert rep["threshold"] == 10.0 * einstein_benchmark_tolerance(
+            3, 96, grading=grid.grading)

@@ -126,6 +126,40 @@ class TestDirichletRadial:
         assert state.cone_margin > 0
 
 
+class TestPredictor:
+    # the secant predictor starts each step near the solution, where the
+    # full Newton step passes the max-norm descent test; started from the
+    # last accepted point, the ramp below needed 796 Jacobians for 436
+    # accepted iterations
+    @staticmethod
+    def annulus(n):
+        grid = make_radial_grid(0.5, 1.0, n, m=4)
+        data = np.where(grid.nodes > 0.75, 0.5, 0.0)
+        return flat_config(grid, 3, boundary_data=data)
+
+    def test_ramp_work(self, monkeypatch):
+        calls = [0]
+        jacobian = cs._RadialDisc.jacobian
+
+        def counted(self, u, t, fvals):
+            calls[0] += 1
+            return jacobian(self, u, t, fvals)
+
+        monkeypatch.setattr(cs._RadialDisc, "jacobian", counted)
+        trace = solve_dirichlet(self.annulus(65)).trace
+        assert calls[0] <= 250
+        assert sum(e[2] for e in trace) <= 150
+
+    def test_trace_names_rule_and_returned_residual(self):
+        state = solve_dirichlet(self.annulus(257))
+        rules = {"residual", "increment", "damping-floor"}
+        assert all(e[-1] in rules for e in state.trace)
+        # the last step ends on the increment, above tol: the entry must
+        # carry the residual of the point it returns
+        assert state.trace[-1][-1] == "increment"
+        assert state.trace[-1][3] == state.residual_norm
+
+
 class TestNewtonStep:
     def test_fast_local_convergence(self):
         grid = make_radial_grid(0.5, 1.0, 129, m=3)

@@ -198,6 +198,30 @@ class TestBvpSolve:
             assert len(prof.trace) > 0
             assert {entry[-1] for entry in prof.trace} <= rules
 
+    def test_ramp_iterations(self):
+        # with the secant predictor the data ramp takes a few Newton
+        # iterations per step; from the last accepted point it took 486
+        prof = bvp_solve(0.5, 1.0, m=4, k=3, j1=0.5, j0=0.0, n=24)
+        assert sum(entry[1] for entry in prof.trace) <= 200
+
+    def test_newton_starts_in_the_cone(self, monkeypatch):
+        # a secant guess may leave the cone (on this annulus one does), and
+        # Newton may return its start unchanged by the residual or the
+        # damping-floor rule, so every Newton solve must start admissible
+        starts = []
+        system = radial_oracle._collocation_system
+
+        def recorded(w, *args):
+            if not starts or starts[-1][1][3:] != args[3:]:
+                starts.append((w.copy(), args))  # a new (t, b1, b0)
+            return system(w, *args)
+
+        monkeypatch.setattr(radial_oracle, "_collocation_system", recorded)
+        bvp_solve(0.5, 1.0, m=4, k=3, j1=0.5, j0=0.0, n=48)
+        assert len(starts) > 2
+        for w, args in starts:
+            assert _admissible_residual(w, *args)[0]
+
     def test_spectral_convergence_on_einstein_benchmark(self):
         # Dirichlet data from the exact solution on an annulus; the error
         # should drop much faster than 4th order as the degree grows
