@@ -1,177 +1,79 @@
-"""Pointwise conformal curvature operators.
+"""Batched conformal curvature kernel on node stacks.
 
-Conventions: the solver variable is the conformal exponent w with
-ghat = e^{2w} g, rho = -Ric of the background g.  The negative Ricci tensor
-of ghat, as a bilinear form in background indices, is
+Conventions: the solver variable is the conformal exponent u with
+ghat = e^{2u} g and rho = -Ric of the background g, here flat: g = delta,
+the only base any solver accepts.  The negative Ricci tensor of ghat, as a
+bilinear form in background indices, is
 
-    rhohat = rho + (m-2) hess_w + (tr_g hess_w) g
-             + (m-2) (|dw|_g^2 g - dw (x) dw).
+    rhohat = rho + (m-2) hess_u + (tr hess_u) delta
+             + (m-2) (|du|^2 delta - du (x) du).
 
 The homotopy tensor interpolates from a constant-curvature anchor at t = 0
-to rhohat at t = 1.  All determinant/sigma_k evaluations are applied to the
-endomorphism g^{-1} W, so that the anchor solves the t = 0 equation with
-w = 0 for any right-hand-side scale.
+to rhohat at t = 1.  Every function works on stacks of nodes: grad is
+(n, m), hess and rho are (n, m, m).  The box solver, the conformal
+background and the oracle tests all run this code.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
-from .symfun import cone_margin, newton_transform, sigma_all
+from .symfun import newton_transform
 
 __all__ = [
-    "PointwiseCurvatureState",
-    "HomotopyParams",
-    "ConeViolationError",
-    "ricci_conformal",
-    "assemble_Wt",
-    "wt_eigenvalues",
-    "residual",
-    "linearize",
+    "anchor",
+    "conformal_tensor",
+    "homotopy_tensor",
+    "linear_coefficients",
 ]
 
 
-class ConeViolationError(RuntimeError):
-    """Raised when ellipticity is lost (eigenvalues leave Gamma_k+)."""
+def anchor(m, k, rhs_scale):
+    """Eigenvalue lam of the t = 0 anchor lam * delta.
 
-
-@dataclass
-class PointwiseCurvatureState:
-    """Background metric, curvature and conformal-factor derivatives at a node.
-
-    hess_w holds covariant second derivatives of w with respect to g.
+    C(m,k) lam^k = rhs_scale, so u = 0 solves the t = 0 equation exactly
+    for any rhs_scale.
     """
-
-    g: np.ndarray
-    rho: np.ndarray
-    grad_w: np.ndarray
-    hess_w: np.ndarray
-    w: float = 0.0
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.grad_w = np.asarray(self.grad_w, dtype=float)
-        self.hess_w = np.asarray(self.hess_w, dtype=float)
-        m = self.g.shape[0]
-        if self.g.shape != (m, m) or self.rho.shape != (m, m):
-            raise ValueError("g and rho must be m x m")
-        if self.grad_w.shape != (m,) or self.hess_w.shape != (m, m):
-            raise ValueError("grad_w must be length m, hess_w m x m")
-        if not np.allclose(self.hess_w, self.hess_w.T):
-            raise ValueError("hess_w must be symmetric")
-        if np.linalg.eigvalsh(self.g)[0] <= 0:
-            raise ValueError("g must be positive definite")
-
-    @property
-    def m(self):
-        return self.g.shape[0]
+    return (rhs_scale / comb(m, k)) ** (1.0 / k)
 
 
-@dataclass
-class HomotopyParams:
-    """Continuity parameter and normalization of the sigma_k equation.
+def conformal_tensor(grad, hess):
+    """(m-2) hess + (tr hess) delta + (m-2)(|du|^2 delta - du (x) du), the
+    tensor -Ric(e^{2u} delta) at each node."""
+    m = grad.shape[1]
+    lap = np.trace(hess, axis1=1, axis2=2)
+    g2 = np.sum(grad * grad, axis=1)
+    W = (m - 2) * hess - (m - 2) * np.einsum("ia,ib->iab", grad, grad)
+    W += ((m - 2) * g2 + lap)[:, None, None] * np.eye(m)
+    return W
 
-    The anchor at t = 0 is lam * g with C(m,k) lam^k = rhs_scale, so w = 0
-    solves the t = 0 equation exactly for any rhs_scale.
+
+def homotopy_tensor(grad, hess, rho, t, anchor, scale):
+    """W_t = (1-t) anchor delta + (t rho + conformal tensor) / scale.
+
+    scale is the background prescale c >= 1 with c delta >= rho; at t = 1
+    and scale 1 this is rhohat.
     """
-
-    t: float
-    k: int
-    m: int
-    rhs_scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        if not 1 <= self.k <= self.m:
-            raise ValueError(f"order k={self.k} out of range 1..{self.m}")
-        if self.rhs_scale <= 0:
-            raise ValueError("rhs_scale must be positive")
-
-    @property
-    def anchor(self):
-        """Eigenvalue lam of the t = 0 anchor metric lam * g."""
-        return (self.rhs_scale / comb(self.m, self.k)) ** (1.0 / self.k)
+    W = conformal_tensor(grad, hess)
+    W += t * rho
+    W /= scale
+    W += (1.0 - t) * anchor * np.eye(grad.shape[1])
+    return W
 
 
-def _conformal_terms(state):
-    """(m-2) hess + (tr_g hess) g + (m-2)(|dw|^2 g - dw (x) dw) as a form."""
-    m = state.m
-    ginv = np.linalg.inv(state.g)
-    lap = np.trace(ginv @ state.hess_w)
-    grad2 = state.grad_w @ ginv @ state.grad_w
-    dw = np.outer(state.grad_w, state.grad_w)
-    return (
-        (m - 2) * state.hess_w
-        + lap * state.g
-        + (m - 2) * (grad2 * state.g - dw)
-    )
+def linear_coefficients(W, grad, k, scale):
+    """Coefficients (c2, c1) of the derivative of sigma_k(W_t) in u.
 
-
-def ricci_conformal(state):
-    """rhohat = -Ric(e^{2w} g) as a bilinear form in background indices."""
-    return state.rho + _conformal_terms(state)
-
-
-def assemble_Wt(state, params):
-    """Endomorphism g^{-1} W_t whose eigenvalues feed sigma_k.
-
-    W_t = (1-t) lam g + t rho + conformal derivative terms; at t = 1 this is
-    g^{-1} rhohat.
+    The derivative in direction h is c2 : hess_h + c1 . grad_h, with
+    c2 = ((m-2) T + tr(T) delta) / scale, T = T_{k-1}(W_t) the Newton
+    transform, and c1 from the gradient terms contracted against T.
+    c2 is positive definite whenever the eigenvalues of W_t lie in
+    Gamma_k+.
     """
-    W = (
-        (1.0 - params.t) * params.anchor * state.g
-        + params.t * state.rho
-        + _conformal_terms(state)
-    )
-    return np.linalg.solve(state.g, W)
-
-
-def wt_eigenvalues(state, params):
-    """Eigenvalues of g^{-1} W_t (real: W_t is symmetric, g is SPD)."""
-    W = (
-        (1.0 - params.t) * params.anchor * state.g
-        + params.t * state.rho
-        + _conformal_terms(state)
-    )
-    return scipy.linalg.eigh(W, state.g, eigvals_only=True)
-
-
-def residual(state, params):
-    """sigma_k(eigenvalues of g^{-1} W_t) - rhs_scale * e^{2k w}."""
-    lam = wt_eigenvalues(state, params)
-    return float(
-        sigma_all(lam)[params.k]
-        - params.rhs_scale * np.exp(2.0 * params.k * state.w)
-    )
-
-
-def linearize(state, params):
-    """Coefficients (c2, c1, c0) of the Frechet derivative of the residual.
-
-    The derivative in direction h is c2 : hess_h + c1 . grad_h + c0 * h,
-    with c2 = (m-2) S + tr(T) g^{-1}, S = T_{k-1}(g^{-1} W_t) g^{-1}.
-    c2 is positive definite whenever the eigenvalues lie in Gamma_k+.
-    """
-    m, k = params.m, params.k
-    A = assemble_Wt(state, params)
-    lam = wt_eigenvalues(state, params)
-    margin = cone_margin(lam, k)
-    if margin <= 0.0:
-        raise ConeViolationError(
-            f"eigenvalues outside Gamma_{k}+ (margin {margin:.3e})"
-        )
-    ginv = np.linalg.inv(state.g)
-    # S^{il} = T_{k-1}(A)^i_j g^{jl}; symmetric since A = g^{-1} W_t.
-    S = newton_transform(A, k - 1) @ ginv
-    S = 0.5 * (S + S.T)
-    trT = float(np.trace(S @ state.g))
-    c2 = (m - 2) * S + trT * ginv
-    # derivative of (m-2)(|dw|^2 g - dw (x) dw) contracted against S
-    gw = ginv @ state.grad_w
-    c1 = 2.0 * (m - 2) * (trT * gw - S @ state.grad_w)
-    c0 = -2.0 * k * params.rhs_scale * np.exp(2.0 * k * state.w)
-    return c2, c1, float(c0)
+    m = W.shape[1]
+    T = newton_transform(W, k - 1)
+    trT = np.trace(T, axis1=1, axis2=2)
+    c2 = ((m - 2) * T + trT[:, None, None] * np.eye(m)) / scale
+    Tg = np.einsum("iab,ib->ia", T, grad)
+    c1 = 2.0 * (m - 2) * (trT[:, None] * grad - Tg) / scale
+    return c2, c1

@@ -12,9 +12,12 @@ Two discretizations share the Newton core: graded radial grids (the
 axisymmetric reduction, second-order mapped stencils, sparse LU) and
 uniform boxes (sparse tensor-product stencils, sigma_j from batched
 Newton identities on traces, GMRES preconditioned by the fast
-diagonalization method).  Both take their pointwise algebra from symfun;
-the independent Chebyshev collocation oracle lives in radial_oracle and
-shares nothing with this module.
+diagonalization method).  Boxes build W_t and the Jacobian coefficients
+with the batched kernel of conformal_ops, which the oracle tests check;
+radial grids reduce W_t to its two distinct eigenvalues.  Both take their
+anchor from conformal_ops and sigma_j from symfun.  The independent
+Chebyshev collocation oracle lives in radial_oracle and shares nothing
+with this module.
 
 Newton Jacobians are filled into the union pattern of the stencil
 operators they combine, built once per discretization.  Each iterate is
@@ -31,6 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
+from .conformal_ops import anchor, homotopy_tensor, linear_coefficients
 from .domains import (
     BackgroundMetric,
     BoxGrid,
@@ -42,7 +46,7 @@ from .domains import (
     uniform_d1,
     uniform_d2,
 )
-from .symfun import newton_transform, sigma_all_batch, sigma_all_matrix
+from .symfun import sigma_all_batch, sigma_all_matrix
 
 __all__ = [
     "SolveConfig",
@@ -51,7 +55,6 @@ __all__ = [
     "InvariantViolation",
     "solve_dirichlet",
     "solve_complete",
-    "newton_step",
     "complete_grading",
 ]
 
@@ -186,9 +189,7 @@ class _RadialDisc:
         self.k = config.k
         self.rhs_scale = config.rhs_scale
         self.bg_scale = bg_scale
-        self.anchor = (config.rhs_scale / comb(self.m, self.k)) ** (
-            1.0 / self.k
-        )
+        self.anchor = anchor(self.m, self.k, config.rhs_scale)
         n = grid.n
         h = grid.xi_step
         Dxi1 = uniform_d1(n, h)
@@ -286,8 +287,9 @@ class _BoxDisc:
 
     g = delta nodewise (rho may be nonzero); conformally flat backgrounds
     are handled by the callers through the substitution v = u + phi, which
-    turns them into flat solves exactly.  sigma_j(W) comes from Newton's
-    identities on traces, with no eigendecomposition, and the Jacobian is
+    turns them into flat solves exactly.  W_t and the Jacobian's (c2, c1)
+    come from the conformal_ops kernel, sigma_j(W) from Newton's
+    identities on traces, with no eigendecomposition.  The Jacobian is
     one assembled matrix that _PrecondSolver solves by GMRES.  It reuses
     the residual's W and grad u at the same (u, t) and is filled into the
     fixed pattern of the identity, D1[a] and D2[(a, b)].
@@ -306,9 +308,7 @@ class _BoxDisc:
         self.k = config.k
         self.rhs_scale = config.rhs_scale
         self.bg_scale = bg_scale
-        self.anchor = (config.rhs_scale / comb(self.m, self.k)) ** (
-            1.0 / self.k
-        )
+        self.anchor = anchor(self.m, self.k, config.rhs_scale)
         self.rho = bg.rho
         self.D1, self.D2 = box_derivative_operators(grid)
         self.bmask = grid.boundary
@@ -321,17 +321,10 @@ class _BoxDisc:
         self.stored = None
 
     def _assemble(self, u, t):
-        m = self.m
         grad, hess = fd_derivatives(ScalarField(self.grid, u),
                                     (self.D1, self.D2))
-        lap = np.trace(hess, axis1=1, axis2=2)
-        g2 = np.sum(grad * grad, axis=1)
-        eye = np.eye(m)
-        W = (m - 2) * hess - (m - 2) * np.einsum("ia,ib->iab", grad, grad)
-        W += ((m - 2) * g2 + lap)[:, None, None] * eye
-        W += t * self.rho
-        W /= self.bg_scale
-        W += (1.0 - t) * self.anchor * eye
+        W = homotopy_tensor(grad, hess, self.rho, t, self.anchor,
+                            self.bg_scale)
         return W, grad
 
     def residual(self, u, t, bc, fvals):
@@ -347,12 +340,7 @@ class _BoxDisc:
     def jacobian(self, u, t, fvals):
         m, k = self.m, self.k
         W, grad = _take_stored(self, u, t) or self._assemble(u, t)
-        T = newton_transform(W, k - 1)
-        trT = np.trace(T, axis1=1, axis2=2)
-        c = self.bg_scale
-        c2 = ((m - 2) * T + trT[:, None, None] * np.eye(m)) / c
-        Tg = np.einsum("iab,ib->ia", T, grad)
-        c1 = 2.0 * (m - 2) * (trT[:, None] * grad - Tg) / c
+        c2, c1 = linear_coefficients(W, grad, k, self.bg_scale)
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         w = self.pde / (1.0 + rhs)
         coefs = [self.bmask - 2.0 * k * rhs * w]
@@ -663,38 +651,6 @@ def solve_dirichlet(config):
         cone_margin=float(margin),
         residual_norm=float(res),
         trace=trace,
-        background_scale=bg_scale,
-    )
-
-
-def newton_step(state, config):
-    """One damped, cone-safeguarded Newton step at the state's (t, data).
-
-    Used for convergence diagnostics; solve_dirichlet drives the full
-    continuation.
-    """
-    bg_scale = getattr(state, "background_scale", 1.0)
-    disc = _make_disc(config, bg_scale)
-    bc = _boundary_values(config.grid, config.boundary_data)
-    fvals = _rhs_factor_values(config.grid, config.rhs_factor)
-    u = state.u.values
-    F, margin = disc.residual(u, state.t, bc, fvals)
-    if margin <= 0:
-        raise ContinuationFailure("state is not admissible")
-    res = np.max(np.abs(F))
-    h = _PrecondSolver().solve(disc.jacobian(u, state.t, fvals), -F)
-    step = _line_search(disc, u, h, res, state.t, bc, fvals, config)
-    if step is None:
-        raise ContinuationFailure(
-            f"damping underflow, residual {res:.2e}", state.trace
-        )
-    u_new, _, res_new, margin_new = step
-    return HomotopyState(
-        t=state.t,
-        u=ScalarField(config.grid, u_new),
-        cone_margin=float(margin_new),
-        residual_norm=float(res_new),
-        trace=state.trace + [("newton", state.t, 1, res_new)],
         background_scale=bg_scale,
     )
 

@@ -3,8 +3,8 @@
 Two grid families are supported: radial grids on balls/annuli (stored as a
 smooth mapping of a uniform parameter, so graded grids keep second-order
 stencils second order) and uniform n-dimensional boxes.  Backgrounds are
-flat, conformally flat, or radial warped products; everything else is out of
-scope.
+flat, conformally flat, or radial warped products on annuli; everything
+else is out of scope.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +13,7 @@ from math import tanh
 import numpy as np
 import scipy.sparse as sp
 
-from .conformal_ops import PointwiseCurvatureState, ricci_conformal
+from .conformal_ops import conformal_tensor
 
 __all__ = [
     "RadialGrid",
@@ -273,15 +273,11 @@ class BackgroundMetric:
     rho: np.ndarray
 
     def __post_init__(self):
-        n, m = self.grid.n, _ambient_dim(self.grid)
+        n, m = self.grid.n, self.grid.m
         if self.g.shape != (n, m, m) or self.rho.shape != (n, m, m):
             raise ValueError("g and rho must be (n, m, m) arrays")
         if np.any(np.linalg.eigvalsh(self.g)[:, 0] <= 0):
             raise ValueError("metric must be positive definite at every node")
-
-
-def _ambient_dim(grid):
-    return grid.m
 
 
 def background_ricci(grid, kind="flat", phi=None, dphi=None, d2phi=None,
@@ -290,13 +286,14 @@ def background_ricci(grid, kind="flat", phi=None, dphi=None, d2phi=None,
 
     kind="flat": rho = 0.  kind="conformal": g = e^{2 phi} delta with phi
     given analytically (callables phi, dphi, d2phi of the node coordinates)
-    or as a ScalarField differenced on the grid; rho reuses the pointwise
-    conformal Ricci law with flat base.  kind="warped": dr^2 + f(r)^2 times
-    the round sphere, with profile = (f, f', f'') callables; uses the
-    textbook closed-form radial/tangential Ricci eigenvalues.
+    or as a ScalarField differenced on the grid; rho is the conformal
+    tensor of phi over the flat base (conformal_ops.conformal_tensor),
+    one call for all nodes.  kind="warped": dr^2 + f(r)^2 times the round
+    sphere on an annulus, with profile = (f, f', f'') callables; uses the
+    textbook closed-form radial/tangential Ricci eigenvalues.  Balls are
+    refused: g degenerates at r = 0.
     """
-    m = _ambient_dim(grid)
-    n = grid.n
+    m, n = grid.m, grid.n
     eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
     if kind == "flat":
         return BackgroundMetric(grid, kind, eye, np.zeros((n, m, m)))
@@ -310,40 +307,31 @@ def background_ricci(grid, kind="flat", phi=None, dphi=None, d2phi=None,
             ph = phi.values
             gph, hph = fd_derivatives(phi)
         g = np.exp(2.0 * ph)[:, None, None] * eye
-        rho = np.empty((n, m, m))
-        for i in range(n):
-            st = PointwiseCurvatureState(
-                g=np.eye(m), rho=np.zeros((m, m)), grad_w=gph[i],
-                hess_w=hph[i], w=ph[i],
-            )
-            rho[i] = ricci_conformal(st)
-        return BackgroundMetric(grid, kind, g, rho)
+        return BackgroundMetric(grid, kind, g, conformal_tensor(gph, hph))
     if kind == "warped":
-        if not isinstance(grid, RadialGrid):
-            raise TypeError("warped backgrounds need a radial grid")
+        if not isinstance(grid, RadialGrid) or grid.is_ball:
+            raise TypeError(
+                "warped backgrounds need an annulus grid (r0 > 0); "
+                "dr^2 + f^2 g_sphere degenerates at the centre of a ball"
+            )
         f, df, d2f = profile
         r = grid.nodes
         fr = np.array([f(x) for x in r])
         dfr = np.array([df(x) for x in r])
         d2fr = np.array([d2f(x) for x in r])
-        if np.any(fr[r > 0] <= 0):
-            raise ValueError("warped profile must be positive for r > 0")
+        if np.any(fr <= 0):
+            raise ValueError("warped profile must be positive at every node")
         # g = dr^2 + f^2 g_{S^{m-1}}: Ric_rr = -(m-1) f''/f,
         # Ric_tan = -(f''/f) - (m-2)(f'^2 - 1)/f^2 (per unit tangent frame)
-        g = np.empty((n, m, m))
-        rho = np.empty((n, m, m))
-        for i in range(n):
-            gv = np.full(m, fr[i] ** 2)
-            gv[0] = 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ric_rad = -(m - 1) * d2fr[i] / fr[i]
-                ric_tan = -d2fr[i] / fr[i] - (m - 2) * (
-                    dfr[i] ** 2 - 1.0
-                ) / fr[i] ** 2
-            rv = np.full(m, -ric_tan * fr[i] ** 2)
-            rv[0] = -ric_rad
-            g[i] = np.diag(gv)
-            rho[i] = np.diag(rv)
+        ric_rad = -(m - 1) * d2fr / fr
+        ric_tan = -d2fr / fr - (m - 2) * (dfr**2 - 1.0) / fr**2
+        tan = np.arange(1, m)
+        g = np.zeros((n, m, m))
+        g[:, 0, 0] = 1.0
+        g[:, tan, tan] = (fr**2)[:, None]
+        rho = np.zeros((n, m, m))
+        rho[:, 0, 0] = -ric_rad
+        rho[:, tan, tan] = (-ric_tan * fr**2)[:, None]
         return BackgroundMetric(grid, kind, g, rho)
     raise ValueError(f"unknown background kind {kind!r}")
 

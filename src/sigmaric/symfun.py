@@ -1,8 +1,10 @@
 """Elementary symmetric functions, Newton transformations and Garding cones.
 
 Everything here is pointwise linear algebra on small symmetric matrices or
-eigenvalue vectors.  These routines are the algebraic kernel shared by the
-conformal operators, the linearization and the solvers.
+eigenvalue vectors, one at a time or stacked one per node.  The batched
+conformal kernel (conformal_ops) takes its Newton transforms from here and
+the grid solvers their sigma_j; the collocation oracle uses only the
+checked sigma_all.
 """
 
 from math import comb
@@ -12,7 +14,6 @@ import numpy as np
 __all__ = [
     "sigma_k",
     "sigma_all",
-    "sigma_from_matrix",
     "sigma_all_matrix",
     "newton_transform",
     "sigma_all_batch",
@@ -98,15 +99,6 @@ def sigma_all_matrix(W, kmax):
             s = s + (-1) ** (i - 1) * e[..., j - i] * p[i - 1]
         e[..., j] = s / j
     return e
-
-
-def sigma_from_matrix(W, k):
-    """sigma_k of the eigenvalues of the matrix W (see sigma_all_matrix)."""
-    W = np.asarray(W, dtype=float)
-    m = W.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"order k={k} out of range 1..{m}")
-    return float(sigma_all_matrix(W, k)[k])
 
 
 def newton_transform(W, k):

@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths they check: Ricci tensors come from
 finite differences of Christoffel symbols of the full metric, Jacobians from
-centered differences of the nonlinear residual.
+centered differences of the nonlinear residual, with sigma_k from
+eigenvalues where the solvers use trace identities.
 """
 
 import numpy as np
 
-from sigmaric.conformal_ops import PointwiseCurvatureState, residual
+from sigmaric.conformal_ops import anchor, conformal_tensor, homotopy_tensor
+from sigmaric.symfun import sigma_all
 
 
 def ricci_fd(metric, x, h=1e-4):
@@ -58,25 +60,52 @@ def ricci_fd(metric, x, h=1e-4):
     return ric
 
 
-def jacobian_fd(state, params, eps=1e-6):
+def kernel_residual(grad, hess, rho, u, k, t=1.0, rhs_scale=1.0):
+    """sigma_k(W_t) - rhs_scale e^{2ku} at each node of a stack.
+
+    W_t is the conformal_ops homotopy tensor at scale 1; sigma_k comes from
+    its eigenvalues, not from the trace identities the solvers use.
+    """
+    m = grad.shape[1]
+    W = homotopy_tensor(grad, hess, rho, t, anchor(m, k, rhs_scale), 1.0)
+    esp = sigma_all(np.linalg.eigvalsh(W))
+    return esp[:, k] - rhs_scale * np.exp(2.0 * k * u)
+
+
+def jacobian_fd(grad, hess, rho, u, k, t=1.0, rhs_scale=1.0, eps=1e-6):
     """Directional-derivative check data for the residual linearization.
 
     Returns a callable (hess_h, grad_h, h) -> centered finite difference of
-    the residual in that direction.
+    kernel_residual at the node stack in that direction, one per node.
     """
 
     def directional(hess_h, grad_h, h):
         def shifted(sign):
-            return PointwiseCurvatureState(
-                g=state.g,
-                rho=state.rho,
-                grad_w=state.grad_w + sign * eps * grad_h,
-                hess_w=state.hess_w + sign * eps * hess_h,
-                w=state.w + sign * eps * h,
+            return kernel_residual(
+                grad + sign * eps * grad_h, hess + sign * eps * hess_h, rho,
+                u + sign * eps * h, k, t, rhs_scale,
             )
 
-        return (residual(shifted(+1), params) - residual(shifted(-1), params)) / (
-            2 * eps
-        )
+        return (shifted(+1) - shifted(-1)) / (2 * eps)
 
     return directional
+
+
+def manufactured_box(grid, k):
+    """A manufactured solution on a 3-d box grid.
+
+    Returns (u, grad u, hess u, f) for
+    u = 0.2 |x - 0.4|^2 + 0.05 sin(2 x0 + x1 - x2), with exact derivatives,
+    and the rhs factor f = sigma_k(W) e^{-2ku}, W the conformal tensor of
+    u, for which u solves the t = 1 equation on a flat background.
+    """
+    pts = grid.points
+    phase = 2 * pts[:, 0] + pts[:, 1] - pts[:, 2]
+    u = 0.2 * np.sum((pts - 0.4) ** 2, axis=1) + 0.05 * np.sin(phase)
+    grad = 0.4 * (pts - 0.4)
+    c = np.array([2.0, 1.0, -1.0])
+    grad += 0.05 * np.cos(phase)[:, None] * c
+    hess = -0.05 * np.sin(phase)[:, None, None] * np.outer(c, c)
+    hess = hess + 0.4 * np.eye(3)
+    esp = sigma_all(np.linalg.eigvalsh(conformal_tensor(grad, hess)))
+    return u, grad, hess, esp[:, k] * np.exp(-2 * k * u)

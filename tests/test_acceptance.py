@@ -11,14 +11,13 @@ from math import comb, log
 import numpy as np
 import pytest
 
-from oracles import jacobian_fd
+from oracles import manufactured_box
 from sigmaric.cc_invariants import (
     CCSetup,
     compute_Hk,
     invariance_check,
     solve_family,
 )
-from sigmaric.conformal_ops import HomotopyParams, linearize
 from sigmaric.continuation_solver import (
     SolveConfig,
     complete_grading,
@@ -40,7 +39,7 @@ from sigmaric.surface_scalar import (
 )
 from sigmaric.symfun import sigma_all_batch
 
-from test_conformal_ops import random_admissible_state
+from test_conformal_ops import derivative_pair, random_admissible_state
 
 
 def _report(num, ok, detail):
@@ -130,15 +129,8 @@ def test_criterion_4_jacobian_correctness():
     for m in (3, 4):
         for k in range(1, m + 1):
             for _ in range(20):
-                st, params = random_admissible_state(rng, m, k)
-                c2, c1, c0 = linearize(st, params)
-                fd = jacobian_fd(st, params)
-                Hd = rng.standard_normal((m, m))
-                Hd = 0.5 * (Hd + Hd.T)
-                gd = rng.standard_normal(m)
-                hd = rng.standard_normal()
-                analytic = float(np.sum(c2 * Hd) + c1 @ gd + c0 * hd)
-                numeric = fd(Hd, gd, hd)
+                st = random_admissible_state(rng, m, k)
+                analytic, numeric = derivative_pair(st, k, rng)
                 worst = max(worst, abs(analytic - numeric)
                             / max(abs(numeric), 1e-8))
     _report(4, worst <= 1e-6,
@@ -193,21 +185,8 @@ def test_criterion_5_algebraic_kernel():
 
 def _manufactured_error(n):
     grid = make_box_grid([0, 0, 0], [1, 1, 1], [n, n, n])
-    pts = grid.points
-    phase = 2 * pts[:, 0] + pts[:, 1] - pts[:, 2]
-    um = 0.2 * np.sum((pts - 0.4) ** 2, axis=1) + 0.05 * np.sin(phase)
-    gm = 0.4 * (pts - 0.4)
-    c = np.array([2.0, 1.0, -1.0])
-    gm += 0.05 * np.cos(phase)[:, None] * c
-    hm = -0.05 * np.sin(phase)[:, None, None] * np.outer(c, c)
-    hm = hm + 0.4 * np.eye(3)
-    m, k = 3, 2
-    lap = np.trace(hm, axis1=1, axis2=2)
-    g2 = np.sum(gm * gm, axis=1)
-    W = (m - 2) * hm - (m - 2) * np.einsum("ia,ib->iab", gm, gm)
-    W = W + ((m - 2) * g2 + lap)[:, None, None] * np.eye(m)
-    esp = sigma_all_batch(np.linalg.eigvalsh(W))
-    f = esp[:, k] * np.exp(-2 * k * um)
+    k = 2
+    um, _, _, f = manufactured_box(grid, k)
     cfg = SolveConfig(grid=grid, background=background_ricci(grid, "flat"),
                       k=k, boundary_data=um, rhs_factor=f)
     state = solve_dirichlet(cfg)

@@ -201,6 +201,11 @@ class TestExitCodes:
             with pytest.raises(ConfigError):
                 cli._eval_expression(expr, {"x": np.zeros(3)})
 
+    def test_warped_ball_rejected(self, capsys):
+        # warped backgrounds need an annulus; the default domain is a ball
+        assert main(["solve-dirichlet", "--background", "warped:sinh"]) == 2
+        assert "annulus" in capsys.readouterr().err
+
     def test_solver_failure(self, monkeypatch, capsys):
         def boom(cfg):
             raise ContinuationFailure("step underflow at t=0.5")

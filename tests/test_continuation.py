@@ -4,24 +4,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sigmaric.continuation_solver as cs
+from oracles import manufactured_box
+from sigmaric.conformal_ops import conformal_tensor
 from sigmaric.continuation_solver import (
-    ContinuationFailure,
-    HomotopyState,
     SolveConfig,
     complete_grading,
-    newton_step,
     solve_complete,
     solve_dirichlet,
 )
 from sigmaric.domains import (
-    ScalarField,
     background_ricci,
     box_derivative_operators,
     make_box_grid,
     make_radial_grid,
 )
 from sigmaric.radial_oracle import bvp_solve, einstein_exact_radial
-from sigmaric.symfun import sigma_all_batch
+from sigmaric.symfun import sigma_all
 
 
 def flat_config(grid, k, **kw):
@@ -160,31 +158,6 @@ class TestPredictor:
         assert state.trace[-1][3] == state.residual_norm
 
 
-class TestNewtonStep:
-    def test_fast_local_convergence(self):
-        grid = make_radial_grid(0.5, 1.0, 129, m=3)
-        cfg = flat_config(grid, 2, boundary_data=1.0)
-        state = solve_dirichlet(cfg)
-        pert = state.u.values + 1e-3 * np.sin(
-            np.pi * (grid.nodes - 0.5) / 0.5
-        )
-        s0 = HomotopyState(t=1.0, u=ScalarField(grid, pert),
-                           cone_margin=state.cone_margin, residual_norm=0.0,
-                           background_scale=state.background_scale)
-        s1 = newton_step(s0, cfg)
-        s2 = newton_step(s1, cfg)
-        assert s2.residual_norm < 1e-4 * s1.residual_norm
-
-    def test_inadmissible_state_rejected(self):
-        grid = make_radial_grid(0.5, 1.0, 65, m=3)
-        cfg = flat_config(grid, 2, boundary_data=0.0)
-        bad = HomotopyState(t=1.0,
-                            u=ScalarField(grid, -5.0 * grid.nodes**2),
-                            cone_margin=1.0, residual_norm=0.0)
-        with pytest.raises(ContinuationFailure):
-            newton_step(bad, cfg)
-
-
 class TestDirichletBox:
     def test_zero_data_nonpositive(self):
         grid = make_box_grid([0, 0, 0], [1, 1, 1], [9, 9, 9])
@@ -195,22 +168,10 @@ class TestDirichletBox:
 
     def test_manufactured_recovery(self):
         grid = make_box_grid([0, 0, 0], [1, 1, 1], [17, 17, 17])
-        pts = grid.points
-        phase = 2 * pts[:, 0] + pts[:, 1] - pts[:, 2]
-        um = 0.2 * np.sum((pts - 0.4) ** 2, axis=1) + 0.05 * np.sin(phase)
-        gm = 0.4 * (pts - 0.4)
-        c = np.array([2.0, 1.0, -1.0])
-        gm += 0.05 * np.cos(phase)[:, None] * c
-        hm = -0.05 * np.sin(phase)[:, None, None] * np.outer(c, c)
-        hm = hm + 0.4 * np.eye(3)
-        m, k = 3, 2
-        lap = np.trace(hm, axis1=1, axis2=2)
-        g2 = np.sum(gm * gm, axis=1)
-        W = (m - 2) * hm - (m - 2) * np.einsum("ia,ib->iab", gm, gm)
-        W = W + ((m - 2) * g2 + lap)[:, None, None] * np.eye(m)
-        esp = sigma_all_batch(np.linalg.eigvalsh(W))
+        k = 2
+        um, gm, hm, f = manufactured_box(grid, k)
+        esp = sigma_all(np.linalg.eigvalsh(conformal_tensor(gm, hm)))
         assert esp[:, 1:k + 1].min() > 0  # manufactured state is admissible
-        f = esp[:, k] * np.exp(-2 * k * um)
         cfg = flat_config(grid, k, boundary_data=um, rhs_factor=f)
         state = solve_dirichlet(cfg)
         assert np.max(np.abs(state.u.values - um)) < 5e-5

@@ -153,6 +153,31 @@ class TestBackgroundRicci:
         assert bg.rho[i][0, 0] == pytest.approx(-ric[0, 0], abs=2e-4)
         assert bg.rho[i][1, 1] / r**2 == pytest.approx(-ric[1, 1], abs=2e-4)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_warped_matches_per_node_formula(self, m):
+        # the array assembly against the formula evaluated node by node,
+        # in the same arithmetic: equal to the last bit
+        grid = make_radial_grid(0.5, 1.0, 17, m=m)
+        f, df, d2f = np.sin, np.cos, lambda r: -np.sin(r)
+        bg = background_ricci(grid, "warped", profile=(f, df, d2f))
+        for i, r in enumerate(grid.nodes):
+            fr, dfr, d2fr = f(r), df(r), d2f(r)
+            ric_tan = -d2fr / fr - (m - 2) * (dfr**2 - 1.0) / fr**2
+            g = np.diag([1.0] + [fr**2] * (m - 1))
+            rho = np.diag([(m - 1) * d2fr / fr] + [-ric_tan * fr**2] * (m - 1))
+            assert np.array_equal(bg.g[i], g)
+            assert np.array_equal(bg.rho[i], rho)
+
+    @pytest.mark.parametrize("grid", [
+        make_radial_grid(0.0, 1.0, 9, m=3),
+        make_box_grid([0.1] * 3, [0.5] * 3, [4] * 3),
+    ], ids=["ball", "box"])
+    def test_warped_needs_annulus(self, grid):
+        # dr^2 + f^2 g_sphere degenerates at the centre of a ball
+        with pytest.raises(TypeError, match="annulus"):
+            background_ricci(grid, "warped",
+                             profile=(np.sinh, np.cosh, np.sinh))
+
     def test_radial_conformal_background_is_radial(self):
         m = 3
         grid = make_box_grid([0.1] * m, [0.5] * m, [4] * m)

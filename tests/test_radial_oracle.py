@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from sigmaric import radial_oracle
-from sigmaric.conformal_ops import (
-    HomotopyParams,
-    PointwiseCurvatureState,
-    residual,
-    wt_eigenvalues,
-)
+from sigmaric.conformal_ops import anchor, homotopy_tensor
 from sigmaric.radial_oracle import (
     _admissible_residual,
     _cheb_nodes_and_diff,
@@ -22,6 +17,8 @@ from sigmaric.radial_oracle import (
     sigma_pair,
 )
 from sigmaric.symfun import sigma_all
+
+from test_conformal_ops import radial_node
 
 
 class TestRadialEigenvalues:
@@ -36,21 +33,16 @@ class TestRadialEigenvalues:
             radial_eigenvalues(0.0, 1.0, 0.0, 0.0, t=1.0, k=1, m=3)
 
     def test_matches_full_assembly(self):
-        # axisymmetric sample vs assemble_Wt with analytic derivatives
+        # axisymmetric sample vs the conformal_ops homotopy tensor with
+        # analytic derivatives
         m, k, t = 4, 3, 0.6
         r = 0.7
         w, dw, d2w = 0.2, -0.4, 1.1
         a, b = radial_eigenvalues(w, dw, d2w, r, t=t, k=k, m=m)
-        xhat = np.zeros(m)
-        xhat[0] = 1.0
-        grad = dw * xhat
-        hess = d2w * np.outer(xhat, xhat) + (dw / r) * (
-            np.eye(m) - np.outer(xhat, xhat)
-        )
-        st = PointwiseCurvatureState(
-            g=np.eye(m), rho=np.zeros((m, m)), grad_w=grad, hess_w=hess, w=w
-        )
-        lam = np.sort(wt_eigenvalues(st, HomotopyParams(t=t, k=k, m=m)))
+        grad, hess = radial_node(m, r, dw, d2w)
+        W = homotopy_tensor(grad, hess, np.zeros((1, m, m)), t,
+                            anchor(m, k, 1.0), 1.0)
+        lam = np.linalg.eigvalsh(W)[0]
         expect = np.sort(np.array([a] + [b] * (m - 1)))
         assert np.allclose(lam, expect, rtol=1e-12)
 

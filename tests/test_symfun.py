@@ -13,7 +13,6 @@ from sigmaric.symfun import (
     sigma_all,
     sigma_all_batch,
     sigma_all_matrix,
-    sigma_from_matrix,
     sigma_k,
 )
 
@@ -144,7 +143,6 @@ class TestSigmaAllMatrix:
         W = random_symmetric(np.random.default_rng(19), 4)
         full = sigma_all_matrix(W, 4)
         assert np.array_equal(sigma_all_matrix(W, 2), full[:3])
-        assert sigma_from_matrix(W, 3) == full[3]
         with pytest.raises(ValueError):
             sigma_all_matrix(W, 5)
         with pytest.raises(ValueError):
@@ -171,15 +169,6 @@ class TestNewtonTransform:
                 rhs = k * sigma_bruteforce(lam, k)
                 scale = max(1.0, np.abs(lam).max() ** k)
                 assert abs(lhs - rhs) <= 1e-12 * scale * comb(m, k) * k
-
-    def test_sigma_from_matrix_matches_eigen(self):
-        rng = np.random.default_rng(11)
-        W = random_symmetric(rng, 4)
-        lam = np.linalg.eigvalsh(W)
-        for k in range(1, 5):
-            assert sigma_from_matrix(W, k) == pytest.approx(
-                sigma_bruteforce(lam, k), rel=1e-11, abs=1e-11
-            )
 
     def test_top_transform_positive_definite_in_cone(self):
         rng = np.random.default_rng(13)
