@@ -15,13 +15,13 @@ environment variable redirects relative output paths.
 
 import argparse
 import ast
-import csv
 import itertools
 import json
 import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cache
 from math import log
 from pathlib import Path
 
@@ -283,6 +283,8 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()
         return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
@@ -291,6 +293,25 @@ def _json_safe(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
+
+
+@cache
+def _record_validator():
+    """The schema's validator, built once per process.  Its items keyword
+    accepts a list for {"type": "number"} in one pass when every element
+    is a plain float or int (not bool); other lists take the stock path."""
+    schema = json.loads(SCHEMA_PATH.read_text())
+    base = jsonschema.validators.validator_for(schema)
+    base.check_schema(schema)
+    stock_items = base.VALIDATORS["items"]
+
+    def items(validator, item_schema, instance, parent):
+        if (item_schema == {"type": "number"} and isinstance(instance, list)
+                and {float, int}.issuperset(map(type, instance))):
+            return
+        yield from stock_items(validator, item_schema, instance, parent)
+
+    return jsonschema.validators.extend(base, {"items": items})(schema)
 
 
 def write_record(command, cfg, result, wall_time, out_path=None):
@@ -307,8 +328,7 @@ def write_record(command, cfg, result, wall_time, out_path=None):
             "package_version": __version__,
         },
     }
-    schema = json.loads(SCHEMA_PATH.read_text())
-    jsonschema.validate(record, schema)
+    _record_validator().validate(record)
     if out_path:
         path = _output_path(out_path)
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -316,7 +336,10 @@ def write_record(command, cfg, result, wall_time, out_path=None):
 
 
 def write_csv(path, grid, u):
-    """Field dump with fixed columns: x0..x{m-1}, r, u, u_plus_ln_r."""
+    """Field dump with fixed columns: x0..x{m-1}, r, u, u_plus_ln_r.
+
+    Floats are written as their repr in CRLF rows, the bytes csv.writer
+    gives; u_plus_ln_r is blank where it is not finite (at r = 0)."""
     path = _output_path(path)
     if hasattr(grid, "points"):
         pts = np.asarray(grid.points, dtype=float)
@@ -325,16 +348,18 @@ def write_csv(path, grid, u):
     r = np.linalg.norm(pts, axis=1)
     with np.errstate(divide="ignore"):
         u_ln_r = u + np.log(r)
-    rows = np.column_stack([pts, r, u, u_ln_r]).tolist()
-    for row, finite in zip(rows, np.isfinite(u_ln_r)):
-        if not finite:
-            row[-1] = ""
+    header = [f"x{a}" for a in range(pts.shape[1])] + ["r", "u",
+                                                        "u_plus_ln_r"]
+    table = np.column_stack([pts, r, u, u_ln_r])
+    finite = np.isfinite(u_ln_r).tolist()
     with open(path, "w", newline="") as fh:
-        # csv writes each float as its repr
-        writer = csv.writer(fh)
-        writer.writerow([f"x{a}" for a in range(pts.shape[1])]
-                        + ["r", "u", "u_plus_ln_r"])
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(table), 4096):  # bounded text in memory
+            *columns, last = table[lo:lo + 4096].T.tolist()
+            text = [list(map(repr, c)) for c in columns]
+            text.append([repr(v) if ok else ""
+                         for v, ok in zip(last, finite[lo:lo + 4096])])
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*text)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .conformal_ops import anchor, homotopy_tensor, linear_coefficients
 from .domains import (
     BackgroundMetric,
     BoxGrid,
+    FastDiag,
     RadialGrid,
     ScalarField,
     boundary_distance,
@@ -313,7 +314,7 @@ class _BoxDisc:
         self.D1, self.D2 = box_derivative_operators(grid)
         self.bmask = grid.boundary
         self.pde = ~self.bmask
-        self.fdm = _FastDiag(grid)
+        self.fdm = FastDiag(grid)
         ops = [sp.identity(grid.n)]
         for a in range(self.m):
             ops += [self.D1[a]] + [self.D2[(a, b)] for b in range(a, self.m)]
@@ -414,39 +415,6 @@ class _StencilPattern:
         return J
 
 
-class _FastDiag:
-    """Fast diagonalization (Lynch, Rice & Thomas 1964) of the Dirichlet
-    second-difference operator on the interior nodes of a box grid.
-
-    The interior block of each axis's 1-d stencil is symmetric,
-    A_a = Q_a diag(lam_a) Q_a^T, so sum_a A_a + shift is diagonal in the
-    tensor basis Q_1 x ... x Q_m and its inverse costs one product with
-    each Q_a on the way in and one on the way out.
-    """
-
-    def __init__(self, grid):
-        self.shape = tuple(grid.counts)
-        self.interior = (slice(1, -1),) * grid.m
-        self.Q = []
-        lam = 0.0
-        for a in range(grid.m):
-            A = uniform_d2(grid.counts[a], grid.spacing[a])[1:-1, 1:-1]
-            lam_a, Q_a = np.linalg.eigh(A.toarray())
-            self.Q.append(Q_a)
-            lam = np.add.outer(lam, lam_a)
-        self.lam = lam
-
-    def _apply(self, x, transpose):
-        for a, Q in enumerate(self.Q):
-            x = np.tensordot(Q.T if transpose else Q, x, axes=(1, a))
-            x = np.moveaxis(x, 0, a)
-        return x
-
-    def solve(self, r, shift):
-        """(sum_a A_a + shift)^{-1} r for r shaped like the interior."""
-        return self._apply(self._apply(r, True) / (self.lam + shift), False)
-
-
 @dataclass
 class _BoxJacobian:
     """Assembled box Jacobian with what its preconditioner needs.
@@ -458,7 +426,7 @@ class _BoxJacobian:
     matrix: object
     scale: np.ndarray
     shift: float
-    fdm: _FastDiag
+    fdm: FastDiag
 
     def precondition(self, r):
         """Boundary rows are the identity; PDE rows solve

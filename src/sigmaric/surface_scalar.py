@@ -6,11 +6,14 @@ In two dimensions the conformal change of scalar curvature is linear:
 
 Solving the Poisson problem -2 Delta_g u = 1 - R(g) with u = 0 on the
 boundary therefore produces a metric e^{2u} g of scalar curvature
-e^{-2u} > 0 everywhere.  The module supplies the two discretizations this
-needs: the standard 5-point Laplacian on 2-D boxes and a polar-grid
-Laplacian on disks with the usual axis regularization (the axis value is
-coupled to the angular mean of the first ring, which is exact for smooth
-fields to second order).
+e^{-2u} > 0 everywhere.  For g = e^{2 psi} delta this is the flat
+Dirichlet problem Delta u = (R - 1) e^{2 psi} / 2, solved directly.  On
+2-D boxes the 5-point Laplacian is inverted by fast diagonalization
+(domains.FastDiag).  On disks the polar stencil, with the usual axis
+closure (the axis value is coupled to the angular mean of the first ring,
+exact for smooth fields to second order), is the same at every angle, so
+an FFT in theta leaves one tridiagonal system in r per Fourier mode
+(Hockney 1965; Swarztrauber 1977).
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
-from .domains import BoxGrid, ScalarField, box_derivative_operators
+from .domains import BoxGrid, FastDiag, ScalarField, box_derivative_operators
 
 __all__ = [
     "PolarDiskGrid",
@@ -78,6 +81,20 @@ def make_polar_disk(radius, n_r, n_t):
                          theta=theta, points=points, boundary=boundary)
 
 
+def _ring_coefficients(grid):
+    """h and the polar stencil (inner, diagonal, outer, angular) of rings
+    1..n_r-1; ring i reads inner u(i-1, j) + diagonal u(i, j) + outer
+    u(i+1, j) + angular (u(i, j-1) + u(i, j+1)), ring 0 being the axis."""
+    h = grid.radius / grid.n_r
+    dth = 2.0 * np.pi / grid.n_t
+    ri = grid.r[1:-1]
+    inner = 1.0 / h**2 - 1.0 / (2.0 * h * ri)
+    diagonal = -2.0 / h**2 - 2.0 / (ri * dth) ** 2
+    outer = 1.0 / h**2 + 1.0 / (2.0 * h * ri)
+    angular = 1.0 / (ri * dth) ** 2
+    return h, inner, diagonal, outer, angular
+
+
 def laplacian_matrix(grid):
     """Sparse Laplacian; boundary rows are identity.
 
@@ -88,41 +105,25 @@ def laplacian_matrix(grid):
     if isinstance(grid, BoxGrid):
         if grid.m != 2:
             raise ValueError("surface solves need a 2-D grid")
-        d1, d2 = box_derivative_operators(grid)
-        lap = (d2[(0, 0)] + d2[(1, 1)]).tolil()
-        lap[grid.boundary, :] = 0.0
-        lap[grid.boundary, np.flatnonzero(grid.boundary)] = 1.0
+        _, d2 = box_derivative_operators(grid)
+        edge = grid.boundary.astype(float)
+        lap = sp.diags(1.0 - edge) @ (d2[(0, 0)] + d2[(1, 1)]) + sp.diags(edge)
+        lap.eliminate_zeros()
         return lap.tocsc()
     n_r, n_t = grid.n_r, grid.n_t
-    h = grid.radius / n_r
-    dth = 2.0 * np.pi / n_t
-    rows, cols, vals = [], [], []
-
-    def add(rw, cl, v):
-        rows.append(rw)
-        cols.append(cl)
-        vals.append(v)
-
-    # axis node
-    add(0, 0, -4.0 / h**2)
-    for j in range(n_t):
-        add(0, grid.node_index(1, j), 4.0 / (h**2 * n_t))
-    for i in range(1, n_r):
-        ri = grid.r[i]
-        for j in range(n_t):
-            me = grid.node_index(i, j)
-            inner = 0 if i == 1 else grid.node_index(i - 1, j)
-            outer = grid.node_index(i + 1, j)
-            add(me, me, -2.0 / h**2 - 2.0 / (ri * dth) ** 2)
-            add(me, inner, 1.0 / h**2 - 1.0 / (2.0 * h * ri))
-            add(me, outer, 1.0 / h**2 + 1.0 / (2.0 * h * ri))
-            add(me, grid.node_index(i, j - 1), 1.0 / (ri * dth) ** 2)
-            add(me, grid.node_index(i, j + 1), 1.0 / (ri * dth) ** 2)
-    for idx in np.flatnonzero(grid.boundary):
-        add(idx, idx, 1.0)
+    h, inner, diagonal, outer, angular = _ring_coefficients(grid)
+    ring = np.arange(1, grid.n).reshape(n_r, n_t)
+    me = ring[:-1]
+    inward = np.vstack([np.zeros((1, n_t), dtype=int), ring[:-2]])
+    nbrs = [me, inward, ring[1:], np.roll(me, 1, 1), np.roll(me, -1, 1)]
+    coefs = [diagonal, inner, outer, angular, angular]
+    rows = [np.zeros(n_t + 1, dtype=int), np.tile(me.ravel(), 5), ring[-1]]
+    cols = [[0], ring[0], *(c.ravel() for c in nbrs), ring[-1]]
+    vals = [[-4.0 / h**2], np.full(n_t, 4.0 / (h**2 * n_t)),
+            *(np.repeat(c, n_t) for c in coefs), np.ones(n_t)]
     return sp.csc_matrix(
-        (vals, (rows, cols)), shape=(grid.n, grid.n)
-    )
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n, grid.n))
 
 
 @dataclass
@@ -176,27 +177,61 @@ def _field_values(grid, data, default):
     return vals
 
 
+def _solve_polar(grid, f):
+    """Delta u = f at the axis and the interior rings, u = 0 on the rim.
+
+    Mode k of the rfft in theta reads inner u(i-1) + (diagonal +
+    2 cos(2 pi k / n_t) angular) u(i) + outer u(i+1) = f_k(i).  Each mode
+    is a block of n_r unknowns whose slot 0 holds the axis value in mode 0
+    (ring 1 sees it as n_t u(0)) and an uncoupled zero in the others; the
+    stacked blocks make one tridiagonal system.
+    """
+    n_r, n_t = grid.n_r, grid.n_t
+    h, inner, diagonal, outer, angular = _ring_coefficients(grid)
+    modes = n_t // 2 + 1
+    lam = 2.0 * np.cos(2.0 * np.pi * np.arange(modes) / n_t)
+    band = np.zeros((3, modes, n_r))  # upper, diagonal, lower
+    band[0, :, 1:-1] = outer[:-1]
+    band[1, :, 0] = 1.0
+    band[1, :, 1:] = diagonal + np.outer(lam, angular)
+    band[2, :, 1:-1] = inner[1:]
+    band[:, 0, 0] = 4.0 / (h**2 * n_t), -4.0 / h**2, inner[0] * n_t
+    ab = band.reshape(3, -1)
+    ab[0] = np.roll(ab[0], 1)  # solve_banded keeps upper[m] in column m+1
+    rhs = np.zeros((modes, n_r), dtype=complex)
+    rhs[0, 0] = f[0]
+    rhs[:, 1:] = np.fft.rfft(f[1:-n_t].reshape(n_r - 1, n_t), axis=1).T
+    x = solve_banded((1, 1), ab, rhs.ravel(),
+                     check_finite=False).reshape(modes, n_r)
+    u = np.zeros(grid.n)
+    u[0] = x[0, 0].real
+    u[1:-n_t] = np.fft.irfft(x[:, 1:].T, n=n_t, axis=1).ravel()
+    return u
+
+
 def solve_positive_scalar(problem):
     """Solve -2 Delta_g u = 1 - R(g) with u = 0 on the boundary.
 
-    Returns the ScalarField u; the conformal metric e^{2u} g then has
-    scalar curvature e^{-2u} > 0 (see verify_positive_scalar).
+    At interior nodes this is Delta u = (R - 1) e^{2 psi} / 2, solved by
+    fast diagonalization on boxes and by an FFT in theta with one banded
+    solve in r on disks.  Returns the ScalarField u; the conformal metric
+    e^{2u} g then has scalar curvature e^{-2u} > 0 (see
+    verify_positive_scalar).
     """
-    lap, R, weight = problem.operator
-    boundary = problem.grid.boundary
-    A = sp.diags(np.where(boundary, 1.0, -2.0 * weight)) @ lap
-    rhs = np.where(boundary, 0.0, 1.0 - R)
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        raise RuntimeError(f"linear solve failed: {exc}") from exc
-    u = lu.solve(rhs)
-    # one step of iterative refinement; the 1/r^2 angular coefficients near
-    # the axis otherwise leave a conditioning floor in the residual
-    u = u + lu.solve(rhs - A @ u)
+    _, R, weight = problem.operator
+    grid = problem.grid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (R - 1.0) / (2.0 * weight)
+        if isinstance(grid, BoxGrid):
+            fdm = FastDiag(grid)
+            u = np.zeros(grid.n)
+            u.reshape(fdm.shape)[fdm.interior] = fdm.solve(
+                f.reshape(fdm.shape)[fdm.interior], 0.0)
+        else:
+            u = _solve_polar(grid, f)
     if not np.all(np.isfinite(u)):
         raise RuntimeError("linear solve failed")
-    return ScalarField(problem.grid, u)
+    return ScalarField(grid, u)
 
 
 def verify_positive_scalar(problem, u):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ from sigmaric.cli import (
     write_record,
 )
 from sigmaric.continuation_solver import ContinuationFailure
-from sigmaric.domains import make_radial_grid
+from sigmaric.domains import make_box_grid, make_radial_grid
+from sigmaric.surface_scalar import make_polar_disk
 
 
 class TestParseConfig:
@@ -116,6 +118,37 @@ class TestRecords:
         with pytest.raises(jsonschema.ValidationError):
             write_record("surface", {}, {"positive": "yes"}, 0.0)
 
+    @pytest.mark.parametrize("key", ["u", "max_abs_Hk", "min_Hk"])
+    @pytest.mark.parametrize("bad", [True, None, "1.0", [1.0]])
+    def test_non_number_in_numeric_array_rejected(self, key, bad):
+        import jsonschema
+
+        values = [0.5, 1, bad, 2.0]
+        with pytest.raises(jsonschema.ValidationError):
+            write_record("pe-invariant", {}, {key: values}, 0.0)
+        with pytest.raises(jsonschema.ValidationError):
+            write_record("pe-invariant", {}, {key: [bad]}, 0.0)
+
+    def test_numeric_arrays_accepted(self):
+        record = write_record(
+            "pe-invariant", {},
+            {"u": np.linspace(0.0, 1.0, 5), "max_abs_Hk": [1, 2.5],
+             "min_Hk": np.arange(3), "constants": [True, "x"]},
+            0.0,
+        )
+        assert record["result"]["u"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert record["result"]["min_Hk"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("passed", [1, 0.0, "true", None])
+    def test_non_boolean_check_rejected(self, passed):
+        import jsonschema
+
+        checks = [{"name": "a", "passed": True, "detail": ""},
+                  {"name": "b", "passed": passed, "detail": ""}]
+        with pytest.raises(jsonschema.ValidationError):
+            write_record("verify", {}, {"checks": checks, "passed": True},
+                         0.0)
+
     def test_determinism_modulo_meta(self, tmp_path):
         args = ["solve-dirichlet", "--dim", "3", "--k", "2",
                 "--domain", "annulus", "--grid", "65", "--j", "1.0"]
@@ -162,6 +195,35 @@ class TestCsv:
                     assert float(field) == value
                 else:
                     assert field == ""
+
+    @pytest.mark.parametrize("grid", [
+        make_radial_grid(0.0, 1.0, 17, grading=1.1, m=3),
+        make_polar_disk(1.0, 6, 7),
+        make_polar_disk(1.0, 70, 65),
+        make_box_grid([0, 0], [1.0, 2.0], [5, 6]),
+    ], ids=["radial", "polar-disk", "polar-disk-4551-rows", "box"])
+    def test_bytes_match_csv_writer(self, tmp_path, grid):
+        # the dump is what csv.writer writes for the same columns, with
+        # u_plus_ln_r blank where r = 0 (ball centre, disk axis)
+        u = np.random.default_rng(5).standard_normal(grid.n)
+        path = tmp_path / "dump.csv"
+        write_csv(path, grid, u)
+        pts = getattr(grid, "points", None)
+        if pts is None:
+            pts = grid.nodes[:, None]
+        r = np.linalg.norm(pts, axis=1)
+        with np.errstate(divide="ignore"):
+            u_ln_r = u + np.log(r)
+        rows = [x + [rr, uu, v if rr > 0 else ""] for x, rr, uu, v in zip(
+            pts.tolist(), r.tolist(), u.tolist(), u_ln_r.tolist(),
+            strict=True)]
+        expect = tmp_path / "expect.csv"
+        with open(expect, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{a}" for a in range(pts.shape[1])]
+                            + ["r", "u", "u_plus_ln_r"])
+            writer.writerows(rows)
+        assert path.read_bytes() == expect.read_bytes()
 
 
 class TestExitCodes:
