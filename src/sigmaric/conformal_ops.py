@@ -10,8 +10,8 @@ bilinear form in background indices, is
 
 The homotopy tensor interpolates from a constant-curvature anchor at t = 0
 to rhohat at t = 1.  Every function works on stacks of nodes: grad is
-(n, m), hess and rho are (n, m, m).  The box solver, the conformal
-background and the oracle tests all run this code.
+(n, m), hess and rho are (n, m, m).  The box solver and the oracle tests
+run this code.
 """
 
 from math import comb

@@ -11,7 +11,7 @@ fit of u + ln(distance).
 Two discretizations share the Newton core: graded radial grids (the
 axisymmetric reduction, second-order mapped stencils, sparse LU) and
 uniform boxes (sparse tensor-product stencils, sigma_j from batched
-Newton identities on traces, GMRES preconditioned by the fast
+Newton identities on traces, matrix-free GMRES preconditioned by the fast
 diagonalization method).  Boxes build W_t and the Jacobian coefficients
 with the batched kernel of conformal_ops, which the oracle tests check;
 radial grids reduce W_t to its two distinct eigenvalues.  Both take their
@@ -19,8 +19,11 @@ anchor from conformal_ops and sigma_j from symfun.  The independent
 Chebyshev collocation oracle lives in radial_oracle and shares nothing
 with this module.
 
-Newton Jacobians are filled into the union pattern of the stencil
-operators they combine, built once per discretization.  Each iterate is
+Box Jacobians are never assembled: GMRES sees only their products with
+a vector, applied term by term from the stencil operators
+(Jacobian-free Newton-Krylov, Knoll & Keyes 2004).  Radial Jacobians are
+filled into the pattern of the parameter-space second-difference
+stencil, which holds every term they combine.  Each iterate is
 evaluated once: the line search returns the residual at the point it
 accepts, and the Jacobian reuses what that evaluation built.  Newton
 never changes an iterate in place.
@@ -178,8 +181,10 @@ class _RadialDisc:
     with c_f = f'/f (= 1/r on flat backgrounds) and rho_r, rho_t the
     radial/tangential eigenvalues of g^{-1} rho; sigma_k is evaluated on
     the multiset {a, b x (m-1)}.  The Jacobian reuses the residual's
-    (a, b, u') at the same (u, t) and is filled into the fixed pattern of
-    D2, D1, the identity and, on a ball, D1 at the centre row.
+    (a, b, u') at the same (u, t).  D1 = diag(1/r') Dxi1 and
+    D2 = diag(1/r'^2) Dxi2 - diag(r''/r'^3) Dxi1 are pushed forward from
+    the stencils Dxi1, Dxi2 in the uniform parameter xi, so every term the
+    Jacobian combines lies in the pattern of Dxi2, where _fill writes it.
     """
 
     def __init__(self, config, bg_scale):
@@ -196,13 +201,9 @@ class _RadialDisc:
         Dxi1 = uniform_d1(n, h)
         Dxi2 = uniform_d2(n, h)
         inv_dr = 1.0 / grid.dr
-        self.D1 = sp.diags(inv_dr) @ Dxi1
-        self.D2 = (
-            sp.diags(inv_dr**2) @ Dxi2
-            - sp.diags(grid.d2r * inv_dr**3) @ Dxi1
-        )
-        self.D1 = self.D1.tocsr()
-        self.D2 = self.D2.tocsr()
+        self.D1 = (sp.diags(inv_dr) @ Dxi1).tocsr()
+        self.D2 = (sp.diags(inv_dr**2) @ Dxi2
+                   - sp.diags(grid.d2r * inv_dr**3) @ Dxi1).tocsr()
         r = grid.nodes
         if bg.kind == "flat":
             with np.errstate(divide="ignore"):
@@ -222,14 +223,13 @@ class _RadialDisc:
         self.bmask = grid.boundary_mask()
         self.ball_row = 0 if grid.is_ball else None
         self.pde = ~self.bmask
-        ops = [self.D2, self.D1, sp.identity(n)]
         if self.ball_row is not None:
             self.pde[self.ball_row] = False
-            # the ball row closes with du(0) = 0: D1 at that row
-            e = np.zeros(n)
-            e[self.ball_row] = 1.0
-            ops.append(sp.diags(e) @ self.D1)
-        self.pattern = _StencilPattern(ops)
+        # D2, D1 and the identity on the pattern of Dxi2, which holds all
+        self.Dxi2 = Dxi2
+        self.rows = np.repeat(np.arange(n), np.diff(Dxi2.indptr))
+        self.on_pattern = [np.asarray(A[self.rows, Dxi2.indices]).ravel()
+                           for A in (self.D2, self.D1, sp.identity(n).tocsr())]
         self.stored = None
 
     def _eigen_pair(self, u, t):
@@ -277,23 +277,34 @@ class _RadialDisc:
         # coefficients vanish at non-PDE rows, where the boundary closure
         # (identity, or D1 at the ball row) is added instead
         w = self.pde / (1.0 + rhs)
-        coefs = [coef2 * w, coef1 * w, self.bmask - 2.0 * k * rhs * w]
+        return self._fill(coef2 * w, coef1 * w,
+                          self.bmask - 2.0 * k * rhs * w)
+
+    def _fill(self, c2, c1, c0):
+        """diag(c2) D2 + diag(c1) D1 + diag(c0), with D1 at the ball row
+        (where c2 and c1 must vanish), as a CSC matrix with no stored
+        zeros, filled on the pattern of Dxi2."""
         if self.ball_row is not None:
-            coefs.append(np.ones(self.grid.n))
-        return self.pattern.fill(coefs).tocsc()
+            c1 = c1.copy()
+            c1[self.ball_row] = 1.0
+        J = self.Dxi2.copy()
+        J.data = sum(c[self.rows] * vals
+                     for c, vals in zip((c2, c1, c0), self.on_pattern))
+        J.eliminate_zeros()
+        return J.tocsc()
 
 
 class _BoxDisc:
-    """Full tensor assembly on a uniform box with a flat background metric.
+    """Tensor-product stencils on a uniform box with a flat background metric.
 
     g = delta nodewise (rho may be nonzero); conformally flat backgrounds
     are handled by the callers through the substitution v = u + phi, which
     turns them into flat solves exactly.  W_t and the Jacobian's (c2, c1)
     come from the conformal_ops kernel, sigma_j(W) from Newton's
     identities on traces, with no eigendecomposition.  The Jacobian is
-    one assembled matrix that _PrecondSolver solves by GMRES.  It reuses
-    the residual's W and grad u at the same (u, t) and is filled into the
-    fixed pattern of the identity, D1[a] and D2[(a, b)].
+    matrix-free: an operator that applies the stencils D1[a] and
+    D2[(a, b)] with its row coefficients, which _PrecondSolver hands to
+    GMRES.  It reuses the residual's W and grad u at the same (u, t).
     """
 
     def __init__(self, config, bg_scale):
@@ -315,10 +326,6 @@ class _BoxDisc:
         self.bmask = grid.boundary
         self.pde = ~self.bmask
         self.fdm = FastDiag(grid)
-        ops = [sp.identity(grid.n)]
-        for a in range(self.m):
-            ops += [self.D1[a]] + [self.D2[(a, b)] for b in range(a, self.m)]
-        self.pattern = _StencilPattern(ops)
         self.stored = None
 
     def _assemble(self, u, t):
@@ -344,19 +351,19 @@ class _BoxDisc:
         c2, c1 = linear_coefficients(W, grad, k, self.bg_scale)
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         w = self.pde / (1.0 + rhs)
-        coefs = [self.bmask - 2.0 * k * rhs * w]
+        terms = []
         for a in range(m):
-            coefs.append(c1[:, a] * w)
+            terms.append((c1[:, a] * w, self.D1[a]))
             for b in range(a, m):
                 mult = 1.0 if a == b else 2.0
-                coefs.append(mult * c2[:, a, b] * w)
-        J = self.pattern.fill(coefs)
+                terms.append((mult * c2[:, a, b] * w, self.D2[(a, b)]))
         # leading scale d = w tr(c2)/m is positive on PDE rows inside the
         # cone; the preconditioner divides those rows by it
         pde = self.pde
         scale = w[pde] * np.trace(c2[pde], axis1=1, axis2=2) / m
         shift = float(np.mean(-2.0 * k * rhs[pde] * w[pde] / scale))
-        return _BoxJacobian(J, scale, shift, self.fdm)
+        return _BoxJacobian(self.bmask - 2.0 * k * rhs * w, terms, scale,
+                            shift, self.fdm)
 
 
 def _take_stored(disc, u, t):
@@ -369,64 +376,27 @@ def _take_stored(disc, u, t):
     return None
 
 
-class _StencilPattern:
-    """The union CSR pattern of a fixed list of operators A_i (each free
-    of duplicate entries), built once per discretization, with int32 maps
-    from each operator's entries to their places in it.
-
-    fill(c) returns sum_i diag(c_i) A_i by adding c_i[row] * A_i.data into
-    the pattern's data array term by term: every entry sums in the order
-    scipy.sparse products and sums of the same terms would, and entries
-    that come out exactly zero are dropped as they drop them, so SuperLU
-    sees the same matrix.
-    """
-
-    def __init__(self, ops):
-        self.shape = n_rows, n_cols = ops[0].shape
-        ops = [sp.csr_matrix(A) for A in ops]
-        self.terms = [(A.indptr, A.data) for A in ops]
-
-        def keys(A):  # row-major linear index of each entry
-            row = np.repeat(np.arange(n_rows, dtype=np.int64),
-                            np.diff(A.indptr))
-            return row * n_cols + A.indices
-
-        # one key buffer, sorted in place, keeps set-up memory small
-        sizes = np.cumsum([0] + [A.nnz for A in ops])
-        pattern = np.empty(sizes[-1], dtype=np.int64)
-        for A, lo, hi in zip(ops, sizes, sizes[1:]):
-            pattern[lo:hi] = keys(A)
-        pattern.sort()
-        pattern = pattern[np.append(True, pattern[1:] != pattern[:-1])]
-        self.indices = (pattern % n_cols).astype(np.int32)
-        self.indptr = np.searchsorted(
-            pattern, np.arange(n_rows + 1) * n_cols).astype(np.int32)
-        self.pos = [np.searchsorted(pattern, keys(A)).astype(np.int32)
-                    for A in ops]
-
-    def fill(self, coefs):
-        data = np.zeros(self.indices.size)
-        for pos, (indptr, vals), c in zip(self.pos, self.terms, coefs,
-                                          strict=True):
-            data[pos] += np.repeat(c, np.diff(indptr)) * vals
-        J = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                          shape=self.shape)
-        J.eliminate_zeros()
-        return J
-
-
 @dataclass
 class _BoxJacobian:
-    """Assembled box Jacobian with what its preconditioner needs.
+    """Matrix-free box Jacobian with what its preconditioner needs.
 
-    scale holds the leading scale d = w tr(c2)/m at the PDE rows, shift
-    the mean of their zero-order coefficient over d.
+    J v = c0 v + sum_i c_i (A_i v) over terms = [(c_i, A_i)], the stencils
+    D1[a] and D2[(a, b)] with their row coefficients.  scale holds the
+    leading scale d = w tr(c2)/m at the PDE rows, shift the mean of their
+    zero-order coefficient over d.
     """
 
-    matrix: object
+    c0: np.ndarray
+    terms: list
     scale: np.ndarray
     shift: float
     fdm: FastDiag
+
+    def matvec(self, v):
+        out = self.c0 * v
+        for c, A in self.terms:
+            out += c * (A @ v)
+        return out
 
     def precondition(self, r):
         """Boundary rows are the identity; PDE rows solve
@@ -443,15 +413,16 @@ class _PrecondSolver:
     """Linear solver for the Newton steps.
 
     Radial Jacobians are banded and factor exactly by sparse LU.  Box
-    Jacobians (27-point in 3-D) go to GMRES preconditioned by the fast
-    diagonalization method, which needs no factorization.
+    Jacobians are operators: GMRES needs only their products, and the fast
+    diagonalization preconditioner needs no factorization.
     """
 
     def solve(self, J, b):
         if sp.issparse(J):
             return splu(J).solve(b)
-        A = J.matrix
-        M = spla.LinearOperator(A.shape, matvec=J.precondition)
+        shape = (b.size, b.size)
+        A = spla.LinearOperator(shape, matvec=J.matvec, dtype=float)
+        M = spla.LinearOperator(shape, matvec=J.precondition, dtype=float)
         tol = 1e-8 * max(1.0, np.max(np.abs(b)))
         x = None
         for _ in range(2):
@@ -461,7 +432,7 @@ class _PrecondSolver:
             )
             # judge by the true residual; rounding can keep the internal
             # criterion from being met even after full convergence
-            if np.max(np.abs(A @ x - b)) <= tol:
+            if np.max(np.abs(J.matvec(x) - b)) <= tol:
                 break
         return x
 

@@ -3,8 +3,9 @@
 Two grid families are supported: radial grids on balls/annuli (stored as a
 smooth mapping of a uniform parameter, so graded grids keep second-order
 stencils second order) and uniform n-dimensional boxes.  Backgrounds are
-flat, conformally flat, or radial warped products on annuli; everything
-else is out of scope.  FastDiag, the fast Dirichlet Poisson solver on box
+flat or radial warped products on annuli; conformally flat ones are
+reduced by the callers to flat solves of u + phi, and everything else is
+out of scope.  FastDiag, the fast Dirichlet Poisson solver on box
 interiors, serves the box Newton preconditioner and the surface solve.
 """
 
@@ -13,8 +14,6 @@ from math import tanh
 
 import numpy as np
 import scipy.sparse as sp
-
-from .conformal_ops import conformal_tensor
 
 __all__ = [
     "RadialGrid",
@@ -92,8 +91,10 @@ def make_radial_grid(r0, r1, n, grading=1.0, m=3, cluster="outer"):
     so at large n pass grading just above 1 (the total factor is
     grading**(n-1)).
     """
-    if n < 3:
-        raise ValueError("need at least 3 nodes")
+    if n < 4:
+        raise ValueError(
+            "need at least 4 nodes: the one-sided second-difference end "
+            "rows span 4")
     if grading < 1.0:
         raise ValueError("grading must be >= 1")
     xi = np.linspace(0.0, 1.0, n)
@@ -149,8 +150,10 @@ def make_box_grid(lo, hi, counts):
     m = lo.size
     if hi.size != m or counts.size != m:
         raise ValueError("lo, hi, counts must have equal length")
-    if np.any(counts < 3):
-        raise ValueError("need at least 3 nodes per axis")
+    if np.any(counts < 4):
+        raise ValueError(
+            "need at least 4 nodes per axis: the one-sided second-difference "
+            "end rows span 4")
     if np.any(hi <= lo):
         raise ValueError("need lo < hi componentwise")
     axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(m)]
@@ -315,34 +318,18 @@ class BackgroundMetric:
             raise ValueError("metric must be positive definite at every node")
 
 
-def background_ricci(grid, kind="flat", phi=None, dphi=None, d2phi=None,
-                     profile=None):
+def background_ricci(grid, kind="flat", profile=None):
     """Build a BackgroundMetric with its rho = -Ric field.
 
-    kind="flat": rho = 0.  kind="conformal": g = e^{2 phi} delta with phi
-    given analytically (callables phi, dphi, d2phi of the node coordinates)
-    or as a ScalarField differenced on the grid; rho is the conformal
-    tensor of phi over the flat base (conformal_ops.conformal_tensor),
-    one call for all nodes.  kind="warped": dr^2 + f(r)^2 times the round
+    kind="flat": rho = 0.  kind="warped": dr^2 + f(r)^2 times the round
     sphere on an annulus, with profile = (f, f', f'') callables; uses the
     textbook closed-form radial/tangential Ricci eigenvalues.  Balls are
     refused: g degenerates at r = 0.
     """
     m, n = grid.m, grid.n
-    eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
     if kind == "flat":
+        eye = np.broadcast_to(np.eye(m), (n, m, m)).copy()
         return BackgroundMetric(grid, kind, eye, np.zeros((n, m, m)))
-    if kind == "conformal":
-        pts = _grid_points(grid)
-        if callable(phi):
-            ph = np.array([phi(x) for x in pts])
-            gph = np.array([dphi(x) for x in pts])
-            hph = np.array([d2phi(x) for x in pts])
-        else:
-            ph = phi.values
-            gph, hph = fd_derivatives(phi)
-        g = np.exp(2.0 * ph)[:, None, None] * eye
-        return BackgroundMetric(grid, kind, g, conformal_tensor(gph, hph))
     if kind == "warped":
         if not isinstance(grid, RadialGrid) or grid.is_ball:
             raise TypeError(
@@ -369,12 +356,6 @@ def background_ricci(grid, kind="flat", phi=None, dphi=None, d2phi=None,
         rho[:, tan, tan] = (-ric_tan * fr**2)[:, None]
         return BackgroundMetric(grid, kind, g, rho)
     raise ValueError(f"unknown background kind {kind!r}")
-
-
-def _grid_points(grid):
-    if isinstance(grid, BoxGrid):
-        return grid.points
-    return grid.nodes[:, None]
 
 
 def boundary_distance(grid):

@@ -65,7 +65,6 @@ def radial_eigenvalues(w, dw, d2w, r, t, k, m, rhs_scale=1.0):
     where lam is the t = 0 anchor.  At r = 0 the removable w'/r is replaced
     by its limit w''(0); this requires the regularity condition w'(0) = 0.
     """
-    anchor = (rhs_scale / comb(m, k)) ** (1.0 / k)
     w, dw, d2w, r = np.broadcast_arrays(
         np.asarray(w, float), np.asarray(dw, float),
         np.asarray(d2w, float), np.asarray(r, float),
@@ -75,7 +74,15 @@ def radial_eigenvalues(w, dw, d2w, r, t, k, m, rhs_scale=1.0):
     at_origin = r == 0.0
     if np.any(at_origin) and np.any(np.abs(dw[at_origin]) > 1e-12):
         raise ValueError("r = 0 requires the regularity condition w'(0) = 0")
-    dw_over_r = np.where(at_origin, d2w, dw / np.where(at_origin, 1.0, r))
+    return _eigen_pair(dw, d2w, r, t, k, m, rhs_scale)
+
+
+def _eigen_pair(dw, d2w, r, t, k, m, rhs_scale):
+    """radial_eigenvalues without its input checks."""
+    anchor = (rhs_scale / comb(m, k)) ** (1.0 / k)
+    at_origin = r == 0.0
+    inv_r = np.where(at_origin, 0.0, 1.0 / np.where(at_origin, 1.0, r))
+    dw_over_r = np.where(at_origin, d2w, dw * inv_r)
     base = (1.0 - t) * anchor
     lam_rad = base + (m - 1) * (d2w + dw_over_r)
     lam_tan = base + d2w + (2 * m - 3) * dw_over_r + (m - 2) * dw**2
@@ -288,15 +295,8 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
 
 
 def _collocation_system(w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball):
-    n1 = w.size
     dw, d2w = D @ w, D2 @ w
-    r_safe = np.where(r == 0.0, 1.0, r)
-    inv_r = np.where(r == 0.0, 0.0, 1.0 / r_safe)
-    dw_over_r = np.where(r == 0.0, d2w, dw * inv_r)
-    anchor = (rhs_scale / comb(m, k)) ** (1.0 / k)
-    base = (1.0 - t) * anchor
-    a = base + (m - 1) * (d2w + dw_over_r)
-    b = base + d2w + (2 * m - 3) * dw_over_r + (m - 2) * dw**2
+    a, b = _eigen_pair(dw, d2w, r, t, k, m, rhs_scale)
     e2kw = np.exp(2.0 * k * w)
     F = sigma_pair(a, b, k, m) - rhs_scale * e2kw
     # row scaling: keeps the residual tolerance meaningful when the
@@ -309,8 +309,10 @@ def _collocation_system(w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball):
     )
     if k >= 2:
         sb = sb + comb(m - 1, k - 1) * (k - 1) * a * b ** (k - 2)
-    over_r_op = np.where(r == 0.0, 0.0, inv_r)[:, None] * D
-    over_r_op[r == 0.0] = D2[r == 0.0]
+    at_origin = r == 0.0
+    inv_r = np.where(at_origin, 0.0, 1.0 / np.where(at_origin, 1.0, r))
+    over_r_op = inv_r[:, None] * D
+    over_r_op[at_origin] = D2[at_origin]
     da = (m - 1) * (D2 + over_r_op)
     db = (
         D2
@@ -337,12 +339,7 @@ def _collocation_system(w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball):
 
 def _admissible_residual(w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball):
     dw, d2w = D @ w, D2 @ w
-    r_safe = np.where(r == 0.0, 1.0, r)
-    dw_over_r = np.where(r == 0.0, d2w, dw / r_safe)
-    anchor = (rhs_scale / comb(m, k)) ** (1.0 / k)
-    base = (1.0 - t) * anchor
-    a = base + (m - 1) * (d2w + dw_over_r)
-    b = base + d2w + (2 * m - 3) * dw_over_r + (m - 2) * dw**2
+    a, b = _eigen_pair(dw, d2w, r, t, k, m, rhs_scale)
     # a trial point that overflows is rejected like one outside the cone,
     # so that the line search halves its step
     if not (np.isfinite(w).all() and np.isfinite(a).all()

@@ -59,10 +59,6 @@ class PolarDiskGrid:
     def m(self):
         return 2
 
-    def node_index(self, i, j):
-        """Flat index of ring i >= 1, angle j (axis node is index 0)."""
-        return 1 + (i - 1) * self.n_t + (j % self.n_t)
-
 
 def make_polar_disk(radius, n_r, n_t):
     if radius <= 0 or n_r < 2 or n_t < 4:

@@ -263,6 +263,22 @@ class TestExitCodes:
             with pytest.raises(ConfigError):
                 cli._eval_expression(expr, {"x": np.zeros(3)})
 
+    @pytest.mark.parametrize("argv, per_axis", [
+        (["surface", "--domain", "box", "--grid", "3,3"], True),
+        (["solve-dirichlet", "--domain", "box", "--grid", "3"], True),
+        (["solve-dirichlet", "--domain", "box", "--grid", "5,5,3"], True),
+        (["solve-dirichlet", "--domain", "annulus", "--grid", "3"], False),
+        (["solve-complete", "--domain", "ball", "--grid", "3"], False),
+    ], ids=["surface-box", "box", "box-one-axis", "annulus", "ball"])
+    def test_too_few_nodes(self, argv, per_axis, tmp_path, capsys):
+        # the one-sided second-difference end rows need 4 nodes
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: need at least 4 nodes")
+        assert ("per axis" in err) == per_axis
+        assert not out.exists()
+
     def test_warped_ball_rejected(self, capsys):
         # warped backgrounds need an annulus; the default domain is a ball
         assert main(["solve-dirichlet", "--background", "warped:sinh"]) == 2

@@ -13,8 +13,8 @@ from sigmaric.continuation_solver import (
     solve_dirichlet,
 )
 from sigmaric.domains import (
+    BackgroundMetric,
     background_ricci,
-    box_derivative_operators,
     make_box_grid,
     make_radial_grid,
 )
@@ -50,17 +50,16 @@ class TestConfig:
 
     def test_conformal_background_rejected(self):
         # conformally flat backgrounds reduce exactly to flat solves of
-        # u + phi, so the discretizations refuse them outright
-        grid = make_radial_grid(0.5, 1.0, 33, m=3)
-        bg = background_ricci(
-            grid, "conformal",
-            phi=lambda x: 0.1 * x[0],
-            dphi=lambda x: np.array([0.1, 0.0, 0.0]),
-            d2phi=lambda x: np.zeros((3, 3)),
-        )
-        cfg = SolveConfig(grid=grid, background=bg, k=2)
-        with pytest.raises(TypeError):
-            solve_dirichlet(cfg)
+        # u + phi, so both discretizations refuse a metric e^{2 phi} delta
+        # outright (before its rho is read)
+        for grid in (make_radial_grid(0.5, 1.0, 33, m=3),
+                     make_box_grid([0, 0, 0], [1, 1, 1], [5, 5, 5])):
+            x0 = grid.points[:, 0] if hasattr(grid, "points") else grid.nodes
+            g = np.exp(0.2 * x0)[:, None, None] * np.eye(grid.m)
+            bg = BackgroundMetric(grid, "conformal", g, np.zeros_like(g))
+            cfg = SolveConfig(grid=grid, background=bg, k=2)
+            with pytest.raises(TypeError, match="u \\+ phi"):
+                solve_dirichlet(cfg)
 
 
 class TestDirichletRadial:
@@ -217,11 +216,11 @@ def _converged(grid, k, data):
     return disc, state.u.values, bc
 
 
-def _box_state(k):
-    grid = make_box_grid([0, 0, 0], [1.0, 0.5, 0.8], [11, 7, 9])
-    x, y, z = grid.points.T
-    disc, u, bc = _converged(grid, k, 0.5 + 0.1 * np.sin(x + 2 * y - z))
-    return disc, u, bc, np.cos(x + 2 * y - z) + x * y * z
+def _box_state(k, hi=(1.0, 0.5, 0.8), counts=(11, 7, 9)):
+    grid = make_box_grid(np.zeros(len(hi)), hi, counts)
+    phase = grid.points @ np.resize([1.0, 2.0, -1.0], grid.m)
+    disc, u, bc = _converged(grid, k, 0.5 + 0.1 * np.sin(phase))
+    return disc, u, bc, np.cos(phase) + grid.points.prod(axis=1)
 
 
 def _radial_state():
@@ -239,24 +238,30 @@ def _ball_state():
     return disc, u, bc, np.cos(3.0 * r) + r
 
 
+_STATES = {
+    "box-k1": lambda: _box_state(1),
+    "box-k2": lambda: _box_state(2),
+    "box-k3": lambda: _box_state(3),
+    "box4d-k3": lambda: _box_state(3, (1.0, 0.7, 1.2, 0.9), (6, 5, 7, 5)),
+    "box2d-k2": lambda: _box_state(2, (1.0, 0.7), (13, 11)),
+    "radial-m4-k3": _radial_state,
+    "radial-ball-m3-k2": _ball_state,
+}
+
+
 class TestDiscreteJacobian:
-    # the assembled Jacobian against central differences of the discrete
-    # residual at a converged state; v must be smooth, since for a rough
-    # v the O(eps^2) truncation term carries (D v)^3 ~ h^-3 and swamps
-    # the comparison (a standard normal v reads 4e-5 on the radial grid,
-    # the smooth one 2e-8)
-    @pytest.mark.parametrize("case", ["box-k1", "box-k2", "box-k3",
-                                      "radial-m4-k3", "radial-ball-m3-k2"])
+    # the Jacobian the solver uses (the box operator's matvec, the filled
+    # radial matrix) against central differences of the discrete residual
+    # at a converged state; v must be smooth, since for a rough v the
+    # O(eps^2) truncation term carries (D v)^3 ~ h^-3 and swamps the
+    # comparison (a standard normal v reads 4e-5 on the radial grid, the
+    # smooth one 2e-8)
+    @pytest.mark.parametrize("case", list(_STATES))
     def test_matches_central_differences(self, case):
-        if case.startswith("box"):
-            disc, u, bc, v = _box_state(int(case[-1]))
-        elif case.startswith("radial-ball"):
-            disc, u, bc, v = _ball_state()
-        else:
-            disc, u, bc, v = _radial_state()
+        disc, u, bc, v = _STATES[case]()
         ones = np.ones(u.size)
         J = disc.jacobian(u, 1.0, ones)
-        Jv = getattr(J, "matrix", J) @ v
+        Jv = J.matvec(v) if case.startswith("box") else J @ v
         eps = 1e-6
         Fp, _ = disc.residual(u + eps * v, 1.0, bc, ones)
         Fm, _ = disc.residual(u - eps * v, 1.0, bc, ones)
@@ -266,38 +271,32 @@ class TestDiscreteJacobian:
 
     # entries that cancel are dropped, as sparse sums drop them: stored
     # zeros change SuperLU's ordering and with it the Newton path
-    @pytest.mark.parametrize("state", [_ball_state, _radial_state,
-                                       lambda: _box_state(2)],
-                             ids=["radial-ball", "radial-annulus", "box"])
+    @pytest.mark.parametrize("state", [_ball_state, _radial_state],
+                             ids=["radial-ball", "radial-annulus"])
     def test_no_stored_zeros(self, state):
         disc, u, _, _ = state()
         J = disc.jacobian(u, 1.0, np.ones(u.size))
-        A = getattr(J, "matrix", J)
-        assert A.nnz == np.count_nonzero(A.data)
+        assert J.nnz == np.count_nonzero(J.data)
 
-
-class TestStencilPattern:
-    # the fill against the scipy.sparse products and sums it replaces: the
-    # same stored pattern and bitwise equal values, also where two terms
-    # cancel exactly (the repeated D1[0] with the negated coefficient)
-    def test_matches_sparse_sum(self):
-        grid = make_box_grid([0, 0, 0], [1.0, 0.5, 0.8], [6, 5, 4])
-        D1, D2 = box_derivative_operators(grid)
-        ops = [sp.identity(grid.n), D1[0], *D2.values(), D1[0]]
-        rng = np.random.default_rng(5)
-        coefs = [rng.standard_normal(grid.n) * (rng.random(grid.n) < 0.7)
-                 for _ in ops[:-1]]
-        coefs.append(-coefs[1])
-        pattern = cs._StencilPattern(ops)
-        J = pattern.fill(coefs)
-        ref = sp.diags(coefs[0]) @ ops[0]
-        for c, A in zip(coefs[1:], ops[1:]):
-            ref = ref + sp.diags(c) @ A
-        ref = ref.tocsr()
-        ref.sort_indices()
-        assert ref.nnz < pattern.indices.size  # entries did cancel
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(J, name), getattr(ref, name))
+    # the radial fill on the pattern of the parameter-space stencil Dxi2
+    # against the scipy.sparse products and sums it stands for, with the
+    # ball row closed by D1: bitwise equal values and no stored zeros
+    @pytest.mark.parametrize("grid", [
+        make_radial_grid(0.0, 1.0, 65, grading=1.05, m=3),
+        make_radial_grid(0.5, 1.0, 65, grading=1.05, m=4, cluster="both"),
+    ], ids=["ball", "annulus"])
+    def test_radial_fill_matches_sparse_sum(self, grid):
+        disc = cs._make_disc(flat_config(grid, 2), 1.0)
+        c2, c1, c0 = np.random.default_rng(7).standard_normal((3, grid.n))
+        ball = np.zeros(grid.n)
+        if grid.is_ball:
+            c2[0] = c1[0] = 0.0
+            ball[0] = 1.0
+        ref = (sp.diags(c2) @ disc.D2 + sp.diags(c1) @ disc.D1
+               + sp.diags(c0) + sp.diags(ball) @ disc.D1)
+        J = disc._fill(c2, c1, c0)
+        assert J.format == "csc" and J.nnz == np.count_nonzero(J.data)
+        assert np.array_equal(J.toarray(), ref.toarray())
 
 
 class TestEvaluatedOnce:
@@ -359,5 +358,7 @@ class TestBoxLinearSolve:
         J = disc.jacobian(u, 1.0, np.ones(grid.n))
         b = np.random.default_rng(23).standard_normal(grid.n)
         x = cs._PrecondSolver().solve(J, b)
-        ref = spla.spsolve(J.matrix.tocsc(), b)
+        # the matrix of the operator, one column per unit vector
+        A = np.column_stack([J.matvec(e) for e in np.eye(grid.n)])
+        ref = spla.spsolve(sp.csc_matrix(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
