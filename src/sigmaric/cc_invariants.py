@@ -156,17 +156,19 @@ def compute_Hk(family):
     return [ScalarField(grid, f.values - top) for f in fields[:-1]]
 
 
-def invariance_check(setup, phi_shift):
-    """Max deviation of every H_k under gbar -> e^{2 phi_shift} gbar.
+def invariance_check(family, phi_shift):
+    """Max deviation of every H_k of a solved family under
+    gbar -> e^{2 phi_shift} gbar, which solves the moved family.
 
     The exact flat reduction makes the two families differ by the common
     shift -phi_shift, so the deviation measures only arithmetic noise; it
     is reported rather than assumed.
     """
+    setup = family.setup
     shift = np.asarray(getattr(phi_shift, "values", phi_shift), float)
     if shift.ndim == 0:
         shift = np.full(setup.grid.n, float(shift))
-    base = compute_Hk(solve_family(setup))
+    base = compute_Hk(family)
     phi_new = _phi_values(setup) + shift
     moved = replace(setup, phi=ScalarField(setup.grid, phi_new))
     new = compute_Hk(solve_family(moved))

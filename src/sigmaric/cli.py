@@ -556,9 +556,8 @@ def _verify_checks(cfg):
            and not rep2["is_einstein"],
            f"min H_k {hk_min:.2e}, max |H_k| "
            f"{max(rep2['max_abs_Hk']):.2e}")
-    dev = invariance_check(CCSetup(grid=ball, n=3),
-                           ScalarField(ball, 0.3 * np.exp(
-                               -((ball.nodes - 0.4) / 0.15) ** 2)))
+    dev = invariance_check(fam, ScalarField(ball, 0.3 * np.exp(
+        -((ball.nodes - 0.4) / 0.15) ** 2)))
     record("pe-conformal-invariance", dev <= 1e-3, f"max dev {dev:.2e}")
 
     # surface module

@@ -11,14 +11,13 @@ bilinear form in background indices, is
 The homotopy tensor interpolates from a constant-curvature anchor at t = 0
 to rhohat at t = 1.  Every function works on stacks of nodes: grad is
 (n, m), hess and rho are (n, m, m).  The box solver and the oracle tests
-run this code.
+run this code; sigma_k of W_t and its Newton transform come from one
+symfun.sigma_newton pass, which linear_coefficients takes as given.
 """
 
 from math import comb
 
 import numpy as np
-
-from .symfun import newton_transform
 
 __all__ = [
     "anchor",
@@ -61,17 +60,16 @@ def homotopy_tensor(grad, hess, rho, t, anchor, scale):
     return W
 
 
-def linear_coefficients(W, grad, k, scale):
+def linear_coefficients(T, grad, scale):
     """Coefficients (c2, c1) of the derivative of sigma_k(W_t) in u.
 
-    The derivative in direction h is c2 : hess_h + c1 . grad_h, with
-    c2 = ((m-2) T + tr(T) delta) / scale, T = T_{k-1}(W_t) the Newton
-    transform, and c1 from the gradient terms contracted against T.
-    c2 is positive definite whenever the eigenvalues of W_t lie in
-    Gamma_k+.
+    T = T_{k-1}(W_t) is the Newton transform, as symfun.sigma_newton
+    returns it with sigma_k.  The derivative in direction h is
+    c2 : hess_h + c1 . grad_h, with c2 = ((m-2) T + tr(T) delta) / scale
+    and c1 from the gradient terms contracted against T.  c2 is positive
+    definite whenever the eigenvalues of W_t lie in Gamma_k+.
     """
-    m = W.shape[1]
-    T = newton_transform(W, k - 1)
+    m = T.shape[1]
     trT = np.trace(T, axis1=1, axis2=2)
     c2 = ((m - 2) * T + trT[:, None, None] * np.eye(m)) / scale
     Tg = np.einsum("iab,ib->ia", T, grad)

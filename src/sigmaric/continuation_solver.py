@@ -10,14 +10,14 @@ fit of u + ln(distance).
 
 Two discretizations share the Newton core: graded radial grids (the
 axisymmetric reduction, second-order mapped stencils, sparse LU) and
-uniform boxes (sparse tensor-product stencils, sigma_j from batched
-Newton identities on traces, matrix-free GMRES preconditioned by the fast
-diagonalization method).  Boxes build W_t and the Jacobian coefficients
-with the batched kernel of conformal_ops, which the oracle tests check;
-radial grids reduce W_t to its two distinct eigenvalues.  Both take their
-anchor from conformal_ops and sigma_j from symfun.  The independent
-Chebyshev collocation oracle lives in radial_oracle and shares nothing
-with this module.
+uniform boxes (sparse tensor-product stencils, sigma_j and the Newton
+transform from one Faddeev-LeVerrier pass, matrix-free GMRES
+preconditioned by the fast diagonalization method).  Boxes build W_t and
+the Jacobian coefficients with the batched kernel of conformal_ops, which
+the oracle tests check; radial grids reduce W_t to its two distinct
+eigenvalues.  Both take their anchor from conformal_ops and sigma_j from
+symfun.  The independent Chebyshev collocation oracle lives in
+radial_oracle and shares nothing with this module.
 
 Box Jacobians are never assembled: GMRES sees only their products with
 a vector, applied term by term from the stencil operators
@@ -50,7 +50,7 @@ from .domains import (
     uniform_d1,
     uniform_d2,
 )
-from .symfun import sigma_all_batch, sigma_all_matrix
+from .symfun import sigma_all_batch, sigma_newton
 
 __all__ = [
     "SolveConfig",
@@ -122,9 +122,7 @@ class HomotopyState:
 
 def _boundary_values(grid, data):
     """Full-length array carrying the boundary data at boundary nodes."""
-    mask = (
-        grid.boundary if isinstance(grid, BoxGrid) else grid.boundary_mask()
-    )
+    mask = grid.boundary
     out = np.zeros(grid.n)
     data = np.asarray(getattr(data, "values", data), dtype=float)
     if data.ndim == 0:
@@ -220,7 +218,7 @@ class _RadialDisc:
                 "radial solves support flat and warped backgrounds; "
                 "conformally flat ones reduce to flat solves of u + phi"
             )
-        self.bmask = grid.boundary_mask()
+        self.bmask = grid.boundary
         self.ball_row = 0 if grid.is_ball else None
         self.pde = ~self.bmask
         if self.ball_row is not None:
@@ -300,11 +298,12 @@ class _BoxDisc:
     g = delta nodewise (rho may be nonzero); conformally flat backgrounds
     are handled by the callers through the substitution v = u + phi, which
     turns them into flat solves exactly.  W_t and the Jacobian's (c2, c1)
-    come from the conformal_ops kernel, sigma_j(W) from Newton's
-    identities on traces, with no eigendecomposition.  The Jacobian is
-    matrix-free: an operator that applies the stencils D1[a] and
-    D2[(a, b)] with its row coefficients, which _PrecondSolver hands to
-    GMRES.  It reuses the residual's W and grad u at the same (u, t).
+    come from the conformal_ops kernel; sigma_j(W_t) and the Newton
+    transform T_{k-1}(W_t) from one symfun.sigma_newton pass, with no
+    eigendecomposition.  The Jacobian is matrix-free: an operator that
+    applies the stencils D1[a] and D2[(a, b)] with its row coefficients,
+    which _PrecondSolver hands to GMRES.  It reuses the residual's T and
+    grad u at the same (u, t).
     """
 
     def __init__(self, config, bg_scale):
@@ -329,16 +328,17 @@ class _BoxDisc:
         self.stored = None
 
     def _assemble(self, u, t):
+        """sigma_0..sigma_k of W_t, its Newton transform T_{k-1} and
+        grad u at every node."""
         grad, hess = fd_derivatives(ScalarField(self.grid, u),
                                     (self.D1, self.D2))
         W = homotopy_tensor(grad, hess, self.rho, t, self.anchor,
                             self.bg_scale)
-        return W, grad
+        return *sigma_newton(W, self.k), grad
 
     def residual(self, u, t, bc, fvals):
-        W, grad = self._assemble(u, t)
-        self.stored = (u.copy(), t, (W, grad))
-        esp = sigma_all_matrix(W, self.k)
+        esp, T, grad = self._assemble(u, t)
+        self.stored = (u.copy(), t, (T, grad))
         margin = esp[self.pde, 1 : self.k + 1].min()
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         F = (esp[:, self.k] - rhs) / (1.0 + rhs)
@@ -347,8 +347,8 @@ class _BoxDisc:
 
     def jacobian(self, u, t, fvals):
         m, k = self.m, self.k
-        W, grad = _take_stored(self, u, t) or self._assemble(u, t)
-        c2, c1 = linear_coefficients(W, grad, k, self.bg_scale)
+        T, grad = _take_stored(self, u, t) or self._assemble(u, t)[1:]
+        c2, c1 = linear_coefficients(T, grad, self.bg_scale)
         rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
         w = self.pde / (1.0 + rhs)
         terms = []
@@ -546,27 +546,18 @@ def _follow(disc, u, config, trace, label, data):
     return u, F, margin
 
 
-def _continuation(disc, u, config, bc_target, f_target, bc_start=None,
-                  trace=None):
-    """t: 0 -> 1 at zero data, then ramp boundary data and rhs factor.
-    Given bc_start, u already solves t = 1 at that data: only the ramp
-    runs.  The last phase ends at data(1) = (1, bc_target, f_target), so
+def _continuation(disc, config, bc_target, f_target):
+    """t: 0 -> 1 from u = 0 at zero data, then ramp boundary data and rhs
+    factor.  The last phase ends at data(1) = (1, bc_target, f_target), so
     its final residual evaluation is the one returned."""
-    trace = [] if trace is None else trace
+    trace = []
     n = disc.grid.n
-    ones = np.ones(n)
-    F = None
-    if bc_start is None:
-        bc0 = np.zeros(n)
-        u, F, margin = _follow(disc, u, config, trace, "t",
-                               lambda s: (s, bc0, ones))
-    else:
-        bc0 = bc_start
-    if np.any(bc_target != bc0) or np.any(f_target != 1.0):
+    bc0, ones = np.zeros(n), np.ones(n)
+    u, F, margin = _follow(disc, np.zeros(n), config, trace, "t",
+                           lambda s: (s, bc0, ones))
+    if np.any(bc_target != 0.0) or np.any(f_target != 1.0):
         u, F, margin = _follow(disc, u, config, trace, "ramp", lambda s: (
-            1.0, (1.0 - s) * bc0 + s * bc_target, f_target**s))
-    if F is None:
-        F, margin = disc.residual(u, 1.0, bc_target, f_target)
+            1.0, s * bc_target, f_target**s))
     return u, np.max(np.abs(F)), margin, trace
 
 
@@ -582,8 +573,7 @@ def solve_dirichlet(config):
     disc = _make_disc(config, bg_scale)
     bc = _boundary_values(config.grid, config.boundary_data)
     fvals = _rhs_factor_values(config.grid, config.rhs_factor)
-    u0 = np.zeros(config.grid.n)
-    u, res, margin, trace = _continuation(disc, u0, config, bc, fvals)
+    u, res, margin, trace = _continuation(disc, config, bc, fvals)
     return HomotopyState(
         t=1.0,
         u=ScalarField(config.grid, u),
@@ -641,8 +631,7 @@ def solve_complete(config):
 
     j = J_STEP
     bc = _boundary_values(grid, j)
-    u, res, margin, trace = _continuation(disc, np.zeros(grid.n), config,
-                                          bc, fvals)
+    u, res, margin, trace = _continuation(disc, config, bc, fvals)
     rungs = [(j, u)]
     u_prev = u
     for _ in range(MAX_RUNGS):
@@ -650,10 +639,12 @@ def solve_complete(config):
         if j_next > j_cap + 1e-12:
             break
         bc_next = _boundary_values(grid, j_next)
-        u, res, margin, trace = _continuation(
-            disc, u_prev, config, bc_next, fvals,
-            bc_start=bc, trace=trace,
-        )
+        # u_prev solves t = 1 at data bc: ramp the data to bc_next, with
+        # the rhs factor held at its target
+        u, F, margin = _follow(disc, u_prev, config, trace, "ramp",
+                               lambda s: (1.0, (1.0 - s) * bc + s * bc_next,
+                                          fvals))
+        res = np.max(np.abs(F))
         drop = float((u_prev - u).max())
         if drop > 1e-8:
             raise InvariantViolation(

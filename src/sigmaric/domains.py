@@ -74,7 +74,8 @@ class RadialGrid:
     def xi_step(self):
         return 1.0 / (self.n - 1)
 
-    def boundary_mask(self):
+    @property
+    def boundary(self):
         mask = np.zeros(self.n, dtype=bool)
         mask[-1] = True
         if not self.is_ball:
@@ -171,7 +172,7 @@ def make_box_grid(lo, hi, counts):
 
 @dataclass
 class ScalarField:
-    """Values of a scalar function on a grid, with boundary flags."""
+    """Values of a scalar function on a grid."""
 
     grid: object
     values: np.ndarray
@@ -180,12 +181,6 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.size != self.grid.n:
             raise ValueError("field length must match node count")
-
-    @property
-    def boundary(self):
-        if isinstance(self.grid, BoxGrid):
-            return self.grid.boundary
-        return self.grid.boundary_mask()
 
 
 def uniform_d1(n, h):

@@ -129,7 +129,7 @@ class SurfaceProblem:
     curvature is R(g) as a nodewise field or scalar.  psi, when given, is
     the conformal exponent of g = e^{2 psi} delta; curvature defaults to
     the discretely computed R(g) = -2 e^{-2 psi} Delta psi and the flat
-    Laplacian is weighted accordingly.  kind is derived from psi.
+    Laplacian is weighted accordingly.
     """
 
     grid: object
@@ -143,10 +143,6 @@ class SurfaceProblem:
             vals = np.asarray(getattr(self.psi, "values", self.psi), float)
             if vals.size != self.grid.n:
                 raise ValueError("psi must be a nodewise field on the grid")
-
-    @property
-    def kind(self):
-        return "flat" if self.psi is None else "conformal"
 
     @cached_property
     def operator(self):

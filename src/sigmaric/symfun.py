@@ -1,10 +1,11 @@
 """Elementary symmetric functions, Newton transformations and Garding cones.
 
 Everything here is pointwise linear algebra on small symmetric matrices or
-eigenvalue vectors, one at a time or stacked one per node.  The batched
-conformal kernel (conformal_ops) takes its Newton transforms from here and
-the grid solvers their sigma_j; the collocation oracle uses only the
-checked sigma_all.
+eigenvalue vectors, one at a time or stacked one per node.  sigma_newton is
+the one kernel for matrix stacks: the box solver takes sigma_j of W_t and
+the Newton transform its Jacobian needs from one pass.  The radial solver
+takes sigma_j of its eigenvalue stacks from sigma_all_batch; the
+collocation oracle uses only the checked sigma_all.
 """
 
 from math import comb
@@ -14,8 +15,7 @@ import numpy as np
 __all__ = [
     "sigma_k",
     "sigma_all",
-    "sigma_all_matrix",
-    "newton_transform",
+    "sigma_newton",
     "sigma_all_batch",
     "cone_contains",
     "cone_margin",
@@ -68,58 +68,36 @@ def sigma_k(lam, k):
     return sigma_all(lam)[k]
 
 
-def sigma_all_matrix(W, kmax):
-    """sigma_0..sigma_kmax of the eigenvalues of each matrix in a stack.
+def sigma_newton(W, k):
+    """sigma_0..sigma_k and the Newton transform T_{k-1} of each matrix in
+    a stack, in one Faddeev-LeVerrier pass:
 
-    W is an (..., m, m) array; returns an (..., kmax+1) array.  Newton's
-    identities on the power traces p_j = tr(W^j),
+        T_0 = I,  sigma_j = tr(T_{j-1} W) / j,  T_j = sigma_j I - T_{j-1} W.
 
-        j e_j = sum_{i=1..j} (-1)^(i-1) e_{j-i} p_i,
-
-    are basis free: no eigendecomposition, hence robust near repeated
-    spectra.  The error is normwise, of order eps |W|^j per e_j.
+    W is an (..., m, m) array and 1 <= k <= m; returns (e, T) with e the
+    (..., k+1) array of sigma_0..sigma_k and T = T_{k-1}, (..., m, m).
+    The recursion is basis free: no eigendecomposition, hence robust near
+    repeated spectra, with an error of order eps |W|^j per sigma_j.
+    tr(T_{k-1} W) = k sigma_k, and T_{k-1} supplies the elliptic
+    coefficients of the linearized sigma_k operator; T_0 is a read-only
+    broadcast of I.
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[-1]
     if W.shape[-2:] != (m, m):
         raise ValueError("W must be a stack of square matrices")
-    if not 0 <= kmax <= m:
-        raise ValueError(f"order kmax={kmax} out of range 0..{m}")
-    # p[i - 1] = tr(W^i)
-    p = [np.trace(W, axis1=-2, axis2=-1)]
-    Wp = W
-    for _ in range(1, kmax):
-        Wp = Wp @ W
-        p.append(np.trace(Wp, axis1=-2, axis2=-1))
-    e = np.zeros(W.shape[:-2] + (kmax + 1,))
+    if not 1 <= k <= m:
+        raise ValueError(f"order k={k} out of range 1..{m}")
+    e = np.empty(W.shape[:-2] + (k + 1,))
     e[..., 0] = 1.0
-    for j in range(1, kmax + 1):
-        s = 0.0
-        for i in range(1, j + 1):
-            s = s + (-1) ** (i - 1) * e[..., j - i] * p[i - 1]
-        e[..., j] = s / j
-    return e
-
-
-def newton_transform(W, k):
-    """Newton transformation T_k(W) = sigma_k(W) I - T_{k-1}(W) W, T_0 = I.
-
-    W is one m x m matrix or an (..., m, m) stack, transformed matrix by
-    matrix.  Satisfies tr(T_{k-1}(W) W) = k sigma_k(W); T_{k-1} supplies
-    the elliptic coefficients of the linearized sigma_k operator.
-    """
-    W = np.asarray(W, dtype=float)
-    m = W.shape[-1]
-    if W.ndim < 2 or W.shape[-2] != m:
-        raise ValueError("W must be square")
-    if not 0 <= k <= m - 1:
-        raise ValueError(f"order k={k} out of range 0..{m - 1}")
-    e = sigma_all_matrix(W, k)
+    e[..., 1] = np.trace(W, axis1=-2, axis2=-1)
     eye = np.eye(m)
-    T = np.broadcast_to(eye, W.shape).copy()
-    for j in range(1, k + 1):
-        T = e[..., j, None, None] * eye - T @ W
-    return T
+    T = np.broadcast_to(eye, W.shape)
+    for j in range(2, k + 1):
+        T = e[..., j - 1, None, None] * eye - (W if j == 2 else T @ W)
+        # tr(T_{j-1} W) without forming the product
+        e[..., j] = np.einsum("...ab,...ba->...", T, W) / j
+    return e, T
 
 
 def cone_margin(lam, k):

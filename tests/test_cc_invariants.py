@@ -151,21 +151,22 @@ class TestAnnulusFamily:
 
 
 class TestInvariance:
-    def test_zero_shift(self):
-        setup = ball_setup(nodes=257)
-        assert invariance_check(setup, 0.0) <= 1e-12
+    @pytest.fixture(scope="class")
+    def family(self):
+        return solve_family(ball_setup(nodes=257))
 
-    def test_constant_shift(self):
-        setup = ball_setup(nodes=257)
-        assert invariance_check(setup, 0.7) <= 1e-10
+    def test_zero_shift(self, family):
+        assert invariance_check(family, 0.0) <= 1e-12
 
-    def test_bump_shift(self):
-        setup = ball_setup(nodes=257)
-        grid = setup.grid
+    def test_constant_shift(self, family):
+        assert invariance_check(family, 0.7) <= 1e-10
+
+    def test_bump_shift(self, family):
+        grid = family.setup.grid
         bump = ScalarField(
             grid, 0.3 * np.exp(-(((grid.nodes - 0.4) / 0.15) ** 2))
         )
-        assert invariance_check(setup, bump) <= 1e-10
+        assert invariance_check(family, bump) <= 1e-10
 
     def test_conformal_background_family(self):
         # a conformally flat bump stays inside the ball class, so the

@@ -11,7 +11,7 @@ from sigmaric.conformal_ops import (
     linear_coefficients,
 )
 from sigmaric.radial_oracle import einstein_exact_radial
-from sigmaric.symfun import sigma_all
+from sigmaric.symfun import sigma_all, sigma_newton
 
 
 def zero_state(m, rho=None):
@@ -42,7 +42,7 @@ def linearize(st, k, t=1.0, rhs_scale=1.0):
     grad, hess, rho, u = st
     m = grad.shape[1]
     W = homotopy_tensor(grad, hess, rho, t, anchor(m, k, rhs_scale), 1.0)
-    c2, c1 = linear_coefficients(W, grad, k, 1.0)
+    c2, c1 = linear_coefficients(sigma_newton(W, k)[1], grad, 1.0)
     return c2, c1, -2.0 * k * rhs_scale * np.exp(2.0 * k * u)
 
 

@@ -206,6 +206,26 @@ class TestComplete:
         assert abs(rep["constant"] - rep["einstein_reference"]) < 1e-2
         assert rep["j_final"] <= rep["j_cap"]
 
+    def test_rungs_hold_the_rhs_factor(self, monkeypatch):
+        # a rung ramps only the boundary data, from the last rung's
+        # solution at data J_STEP up: every residual it evaluates sees the
+        # rhs factor at its target
+        n = 129
+        grid = make_radial_grid(0.0, 1.0, n, m=3,
+                                grading=complete_grading(n))
+        f = 1.0 + 0.2 * grid.nodes**2
+        seen = []
+        residual = cs._RadialDisc.residual
+
+        def recorded(self, u, t, bc, fvals):
+            seen.append((bc[-1], fvals.copy()))
+            return residual(self, u, t, bc, fvals)
+
+        monkeypatch.setattr(cs._RadialDisc, "residual", recorded)
+        solve_complete(flat_config(grid, 2, rhs_factor=f))
+        rung = [fv for b, fv in seen if b > cs.J_STEP]
+        assert rung and all(np.array_equal(fv, f) for fv in rung)
+
 
 def _converged(grid, k, data):
     """Converged Dirichlet state and the discretization it was solved on."""
@@ -344,6 +364,22 @@ class TestEvaluatedOnce:
                 np.array_equal(p[i], q[i]) for i in (0, 2, 3)))
         assert jacobians and all(f for f, _ in jacobians)
         assert sum(n for _, n in jacobians) == 0
+
+    # the Jacobian after residual(u, t) takes what that evaluation built;
+    # with nothing stored it builds the same again, to the last bit
+    @pytest.mark.parametrize("case", ["box-k3", "radial-m4-k3"])
+    def test_stored_build_matches_fresh(self, case):
+        disc, u, bc, v = _STATES[case]()
+        ones = np.ones(u.size)
+        disc.residual(u, 1.0, bc, ones)
+        assert disc.stored is not None
+        reused = disc.jacobian(u, 1.0, ones)
+        disc.stored = None
+        fresh = disc.jacobian(u, 1.0, ones)
+        if case.startswith("box"):
+            assert np.array_equal(reused.matvec(v), fresh.matvec(v))
+        else:
+            assert np.array_equal(reused @ v, fresh @ v)
 
 
 class TestBoxLinearSolve:

@@ -130,12 +130,6 @@ class TestGeneralCurvature:
 
 
 class TestConformalBackground:
-    def test_kind(self):
-        g = make_box_grid([0, 0], [1, 1], [17, 17])
-        assert SurfaceProblem(grid=g).kind == "flat"
-        psi = ScalarField(g, np.zeros(g.n))
-        assert SurfaceProblem(grid=g, psi=psi).kind == "conformal"
-
     def test_conformal_solve(self):
         g = make_box_grid([0, 0], [1, 1], [65, 65])
         psi = ScalarField(

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from sigmaric.symfun import (
     cone_contains,
     maclaurin_ratios,
-    newton_transform,
     sigma_all,
     sigma_all_batch,
-    sigma_all_matrix,
     sigma_k,
+    sigma_newton,
 )
 
 
@@ -111,10 +110,11 @@ class TestSigmaAllStack:
 
 
 class TestSigmaAllMatrix:
+    # sigma_0..sigma_k of matrix stacks, the e that sigma_newton returns
     def test_matches_eigenvalues(self):
-        # Newton's identities on traces lose accuracy relative to
-        # sigma_k(|lam|) when eigenvalue magnitudes differ widely, so the
-        # error is measured normwise, against C(m, k) max|lam|^k
+        # the trace recursion loses accuracy relative to sigma_k(|lam|)
+        # when eigenvalue magnitudes differ widely, so the error is
+        # measured normwise, against C(m, k) max|lam|^k
         rng = np.random.default_rng(17)
         n = 2000
         for m in range(2, 7):
@@ -131,7 +131,7 @@ class TestSigmaAllMatrix:
             for stack in (W, Wc):
                 ev = np.linalg.eigvalsh(stack)
                 ref = sigma_all_batch(ev)
-                got = sigma_all_matrix(stack, m)
+                got, _ = sigma_newton(stack, m)
                 assert got.shape == (n, m + 1)
                 assert np.all(got[:, 0] == 1.0)
                 top = np.abs(ev).max(axis=1)
@@ -141,21 +141,24 @@ class TestSigmaAllMatrix:
 
     def test_prefix_and_validation(self):
         W = random_symmetric(np.random.default_rng(19), 4)
-        full = sigma_all_matrix(W, 4)
-        assert np.array_equal(sigma_all_matrix(W, 2), full[:3])
+        full, _ = sigma_newton(W, 4)
+        assert np.array_equal(sigma_newton(W, 2)[0], full[:3])
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                sigma_newton(W, k)
         with pytest.raises(ValueError):
-            sigma_all_matrix(W, 5)
-        with pytest.raises(ValueError):
-            sigma_all_matrix(np.zeros((3, 2)), 1)
+            sigma_newton(np.zeros((3, 2)), 1)
 
 
 class TestNewtonTransform:
+    # T_{k-1}, the transform sigma_newton(W, k) returns with sigma_k
     def test_base_case(self):
         W = random_symmetric(np.random.default_rng(0), 4)
-        assert np.allclose(newton_transform(W, 0), np.eye(4))
+        T0 = sigma_newton(W, 1)[1]
+        assert np.array_equal(T0, np.eye(4)) and not T0.flags.writeable
 
     def test_t1_diagonal(self):
-        T1 = newton_transform(np.diag([1.0, 2.0, 3.0]), 1)
+        T1 = sigma_newton(np.diag([1.0, 2.0, 3.0]), 2)[1]
         assert np.allclose(T1, np.diag([5.0, 4.0, 3.0]))
 
     def test_trace_identity(self):
@@ -164,7 +167,7 @@ class TestNewtonTransform:
             m = rng.integers(2, 6)
             W = random_symmetric(rng, m)
             for k in range(1, m + 1):
-                lhs = np.trace(newton_transform(W, k - 1) @ W)
+                lhs = np.trace(sigma_newton(W, k)[1] @ W)
                 lam = np.linalg.eigvalsh(W)
                 rhs = k * sigma_bruteforce(lam, k)
                 scale = max(1.0, np.abs(lam).max() ** k)
@@ -178,8 +181,21 @@ class TestNewtonTransform:
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
             W = Q @ np.diag(lam) @ Q.T
             W = 0.5 * (W + W.T)
-            T = newton_transform(W, m - 1)
+            T = sigma_newton(W, m)[1]
             assert np.linalg.eigvalsh(0.5 * (T + T.T))[0] > 0
+
+    def test_cayley_hamilton(self):
+        # T_m = sigma_m I - T_{m-1} W vanishes for every square matrix,
+        # symmetric or not, one stack at a time
+        rng = np.random.default_rng(29)
+        for m in range(1, 7):
+            W = rng.standard_normal((50, m, m))
+            for stack in (W, 0.5 * (W + np.swapaxes(W, 1, 2))):
+                e, T = sigma_newton(stack, m)
+                err = np.abs(T @ stack - e[:, m, None, None] * np.eye(m))
+                scale = np.linalg.norm(stack, 2, axis=(1, 2)) ** m
+                bound = 1e-13 * comb(m, m // 2) * np.maximum(1.0, scale)
+                assert np.all(err.max(axis=(1, 2)) <= bound)
 
 
 class TestCone:
