@@ -92,7 +92,7 @@ _KEYS = {
                    "flat-ball | flat-annulus (pe-invariant)"),
     "j": (float, 0.0, "constant boundary data"),
     "data_file": (str, None, "per-node boundary data file"),
-    "rhs_scale": (float, 1.0, None),
+    "rhs_scale": (float, 1.0, "factor c > 0 of the right-hand side c e^{2ku}"),
     "tol": (float, 1e-10, "residual tolerance"),
     "phi": (str, None, "conformal exponent expression in r"),
     "curvature": (str, None, "curvature expression in x, y, r (surface)"),

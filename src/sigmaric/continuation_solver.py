@@ -8,25 +8,27 @@ solves with increasing boundary constants, warm-started, stopped when the
 solution stabilizes on a compact core, followed by a boundary asymptotics
 fit of u + ln(distance).
 
-Two discretizations share the Newton core: graded radial grids (the
-axisymmetric reduction, second-order mapped stencils, sparse LU) and
-uniform boxes (sparse tensor-product stencils, sigma_j and the Newton
-transform from one Faddeev-LeVerrier pass, matrix-free GMRES
-preconditioned by the fast diagonalization method).  Boxes build W_t and
-the Jacobian coefficients with the batched kernel of conformal_ops, which
-the oracle tests check; radial grids reduce W_t to its two distinct
-eigenvalues.  Both take their anchor from conformal_ops and sigma_j from
-symfun.  The independent Chebyshev collocation oracle lives in
-radial_oracle and shares nothing with this module.
+Two discretizations share the Newton core and one Newton system, _Disc
+(the residual rows, cone margin and Jacobian weights around sigma_k):
+graded radial grids (the axisymmetric reduction, second-order mapped
+stencils, sparse LU) and uniform boxes (sparse tensor-product stencils,
+sigma_j and the Newton transform from one Faddeev-LeVerrier pass,
+matrix-free GMRES preconditioned by the fast diagonalization method).
+Boxes build W_t and the Jacobian coefficients with the batched kernel of
+conformal_ops, which the oracle tests check; radial grids reduce W_t to
+its two distinct eigenvalues.  Both take their anchor from conformal_ops
+and sigma_j from symfun.  The independent Chebyshev collocation oracle
+lives in radial_oracle and shares nothing with this module.
 
 Box Jacobians are never assembled: GMRES sees only their products with
 a vector, applied term by term from the stencil operators
 (Jacobian-free Newton-Krylov, Knoll & Keyes 2004).  Radial Jacobians are
 filled into the pattern of the parameter-space second-difference
 stencil, which holds every term they combine.  Each iterate is
-evaluated once: the line search returns the residual at the point it
-accepts, and the Jacobian reuses what that evaluation built.  Newton
-never changes an iterate in place.
+evaluated once: the residual returns what it built besides F, the line
+search returns that with the point it accepts, and the Jacobian takes
+it.  Nothing is kept on a discretization, and Newton never changes an
+iterate in place.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -101,8 +103,9 @@ class SolveConfig:
     rhs_factor: object = None
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
+        for key in ("rhs_scale", "tol_residual"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and positive")
         if not 1 <= self.k <= self.grid.m:
             raise ValueError("need 1 <= k <= m")
 
@@ -111,7 +114,6 @@ class SolveConfig:
 class HomotopyState:
     """Converged solver state with its continuation trace."""
 
-    t: float
     u: ScalarField
     cone_margin: float
     residual_norm: float
@@ -125,6 +127,8 @@ def _boundary_values(grid, data):
     mask = grid.boundary
     out = np.zeros(grid.n)
     data = np.asarray(getattr(data, "values", data), dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("boundary data must be finite")
     if data.ndim == 0:
         out[mask] = float(data)
     elif data.size == grid.n:
@@ -143,30 +147,54 @@ def _rhs_factor_values(grid, factor):
     vals = np.asarray(getattr(factor, "values", factor), dtype=float)
     if vals.size != grid.n:
         raise ValueError("rhs factor length must match node count")
-    if np.any(vals <= 0):
-        raise ValueError("rhs factor must be positive")
+    if not np.all((0 < vals) & (vals < np.inf)):
+        raise ValueError("rhs factor must be finite and positive")
     return vals
-
-
-def _background_prescale(background):
-    """Scale factor c >= 1 with c*g >= rho, as largest eigenvalue of
-    g^{-1} rho over the domain."""
-    g, rho = background.g, background.rho
-    if not np.any(rho):
-        return 1.0
-    # symmetric reduction of the generalized problem rho v = lam g v
-    L = np.linalg.cholesky(g)
-    Li = np.linalg.inv(L)
-    A = Li @ rho @ np.swapaxes(Li, -1, -2)
-    top = np.linalg.eigvalsh(A)[:, -1].max()
-    return max(1.0, float(top))
 
 
 # ---------------------------------------------------------------------------
 # discretizations
 
 
-class _RadialDisc:
+class _Disc:
+    """The Newton system around sigma_k, shared by both discretizations.
+
+    PDE rows hold (sigma_k(W_t) - rhs) / (1 + rhs), rhs = rhs_scale f
+    e^{2ku}, and boundary rows u - bc; the cone margin is min sigma_j
+    (1 <= j <= k) over PDE rows.  residual returns what _sigma(u, t)
+    built besides sigma_0..sigma_k, and jacobian takes that build back:
+    the subclass's _operator weights its rows by w = 1/(1 + rhs) at PDE
+    rows and adds the zero-order term c0 = bmask - 2k rhs w.  A subclass
+    also sets bg_scale (c >= 1 with c g >= rho), h_min and diameter.
+    """
+
+    def __init__(self, config):
+        self.grid = config.grid
+        self.m = config.grid.m
+        self.k = config.k
+        self.rhs_scale = config.rhs_scale
+        self.anchor = anchor(self.m, self.k, config.rhs_scale)
+        self.bmask = config.grid.boundary
+        self.pde = ~self.bmask
+
+    def _rhs(self, u, fvals):
+        return self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
+
+    def residual(self, u, t, bc, fvals):
+        esp, built = self._sigma(u, t)
+        margin = esp[self.pde, 1 : self.k + 1].min()
+        rhs = self._rhs(u, fvals)
+        F = (esp[:, self.k] - rhs) / (1.0 + rhs)
+        F[self.bmask] = u[self.bmask] - bc[self.bmask]
+        return F, margin, built
+
+    def jacobian(self, u, fvals, built):
+        rhs = self._rhs(u, fvals)
+        w = self.pde / (1.0 + rhs)
+        return self._operator(built, w, self.bmask - 2.0 * self.k * rhs * w)
+
+
+class _RadialDisc(_Disc):
     """Axisymmetric reduction on a (possibly graded) radial grid.
 
     The two distinct eigenvalues of g^{-1} W_t for a radial conformal
@@ -177,23 +205,19 @@ class _RadialDisc:
                             + (m-2) u'^2) / scale,
 
     with c_f = f'/f (= 1/r on flat backgrounds) and rho_r, rho_t the
-    radial/tangential eigenvalues of g^{-1} rho; sigma_k is evaluated on
-    the multiset {a, b x (m-1)}.  The Jacobian reuses the residual's
-    (a, b, u') at the same (u, t).  D1 = diag(1/r') Dxi1 and
-    D2 = diag(1/r'^2) Dxi2 - diag(r''/r'^3) Dxi1 are pushed forward from
-    the stencils Dxi1, Dxi2 in the uniform parameter xi, so every term the
-    Jacobian combines lies in the pattern of Dxi2, where _fill writes it.
+    radial/tangential eigenvalues of g^{-1} rho, whose largest is the
+    prescale; sigma_k is evaluated on the multiset {a, b x (m-1)}.  The
+    build is (a, b, u').  On a ball the row at r = 0 is u'(0) = 0.
+    D1 = diag(1/r') Dxi1 and D2 = diag(1/r'^2) Dxi2 - diag(r''/r'^3) Dxi1
+    are pushed forward from the stencils Dxi1, Dxi2 in the uniform
+    parameter xi, so every term the Jacobian combines lies in the pattern
+    of Dxi2, where _fill writes it.
     """
 
-    def __init__(self, config, bg_scale):
+    def __init__(self, config):
+        super().__init__(config)
         grid = config.grid
         bg = config.background
-        self.grid = grid
-        self.m = grid.m
-        self.k = config.k
-        self.rhs_scale = config.rhs_scale
-        self.bg_scale = bg_scale
-        self.anchor = anchor(self.m, self.k, config.rhs_scale)
         n = grid.n
         h = grid.xi_step
         Dxi1 = uniform_d1(n, h)
@@ -218,9 +242,11 @@ class _RadialDisc:
                 "radial solves support flat and warped backgrounds; "
                 "conformally flat ones reduce to flat solves of u + phi"
             )
-        self.bmask = grid.boundary
+        self.bg_scale = max(1.0, float(self.rho_r.max()),
+                            float(self.rho_t.max()))
+        self.h_min = float(np.diff(r).min())
+        self.diameter = 2.0 * grid.r1
         self.ball_row = 0 if grid.is_ball else None
-        self.pde = ~self.bmask
         if self.ball_row is not None:
             self.pde[self.ball_row] = False
         # D2, D1 and the identity on the pattern of Dxi2, which holds all
@@ -228,9 +254,8 @@ class _RadialDisc:
         self.rows = np.repeat(np.arange(n), np.diff(Dxi2.indptr))
         self.on_pattern = [np.asarray(A[self.rows, Dxi2.indices]).ravel()
                            for A in (self.D2, self.D1, sp.identity(n).tocsr())]
-        self.stored = None
 
-    def _eigen_pair(self, u, t):
+    def _sigma(self, u, t):
         du = self.D1 @ u
         d2u = self.D2 @ u
         base = (1.0 - t) * self.anchor
@@ -242,23 +267,17 @@ class _RadialDisc:
             + (2 * self.m - 3) * self.cf * du
             + (self.m - 2) * du**2
         ) / c
-        return a, b, du
+        lam = np.stack([a] + [b] * (self.m - 1), axis=-1)
+        return sigma_all_batch(lam), (a, b, du)
 
     def residual(self, u, t, bc, fvals):
-        a, b, du = self._eigen_pair(u, t)
-        self.stored = (u.copy(), t, (a, b, du))
-        lam = np.stack([a] + [b] * (self.m - 1), axis=-1)
-        esp = sigma_all_batch(lam)
-        margin = esp[self.pde, 1 : self.k + 1].min()
-        rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
-        F = (esp[:, self.k] - rhs) / (1.0 + rhs)
-        F[self.bmask] = u[self.bmask] - bc[self.bmask]
+        F, margin, built = super().residual(u, t, bc, fvals)
         if self.ball_row is not None:
-            F[self.ball_row] = du[self.ball_row]
-        return F, margin
+            F[self.ball_row] = built[2][self.ball_row]
+        return F, margin, built
 
-    def jacobian(self, u, t, fvals):
-        a, b, du = _take_stored(self, u, t) or self._eigen_pair(u, t)
+    def _operator(self, built, w, c0):
+        a, b, du = built
         m, k = self.m, self.k
         # d sigma / da and d sigma / db for the multiset {a, b x (m-1)}
         sa = comb(m - 1, k - 1) * b ** (k - 1)
@@ -271,12 +290,9 @@ class _RadialDisc:
             sa * (m - 1) * self.cf
             + sb * ((2 * m - 3) * self.cf + 2 * (m - 2) * du)
         ) / c
-        rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
-        # coefficients vanish at non-PDE rows, where the boundary closure
+        # w vanishes at non-PDE rows, where the boundary closure
         # (identity, or D1 at the ball row) is added instead
-        w = self.pde / (1.0 + rhs)
-        return self._fill(coef2 * w, coef1 * w,
-                          self.bmask - 2.0 * k * rhs * w)
+        return self._fill(coef2 * w, coef1 * w, c0)
 
     def _fill(self, c2, c1, c0):
         """diag(c2) D2 + diag(c1) D1 + diag(c0), with D1 at the ball row
@@ -292,21 +308,22 @@ class _RadialDisc:
         return J.tocsc()
 
 
-class _BoxDisc:
+class _BoxDisc(_Disc):
     """Tensor-product stencils on a uniform box with a flat background metric.
 
-    g = delta nodewise (rho may be nonzero); conformally flat backgrounds
-    are handled by the callers through the substitution v = u + phi, which
-    turns them into flat solves exactly.  W_t and the Jacobian's (c2, c1)
-    come from the conformal_ops kernel; sigma_j(W_t) and the Newton
-    transform T_{k-1}(W_t) from one symfun.sigma_newton pass, with no
-    eigendecomposition.  The Jacobian is matrix-free: an operator that
-    applies the stencils D1[a] and D2[(a, b)] with its row coefficients,
-    which _PrecondSolver hands to GMRES.  It reuses the residual's T and
-    grad u at the same (u, t).
+    g = delta nodewise (rho may be nonzero, and the prescale is its top
+    eigenvalue); conformally flat backgrounds are handled by the callers
+    through the substitution v = u + phi, which turns them into flat
+    solves exactly.  W_t and the Jacobian's (c2, c1) come from the
+    conformal_ops kernel; sigma_j(W_t) and the Newton transform
+    T_{k-1}(W_t) from one symfun.sigma_newton pass, with no
+    eigendecomposition.  The build is (T_{k-1}, grad u).  The Jacobian is
+    matrix-free: an operator that applies the stencils D1[a] and
+    D2[(a, b)] with its row coefficients, which _PrecondSolver hands to
+    GMRES.
     """
 
-    def __init__(self, config, bg_scale):
+    def __init__(self, config):
         grid = config.grid
         bg = config.background
         if not np.allclose(bg.g, np.eye(grid.m)):
@@ -314,43 +331,25 @@ class _BoxDisc:
                 "box solves need g = delta; reduce conformally flat "
                 "backgrounds to flat solves of u + phi first"
             )
-        self.grid = grid
-        self.m = grid.m
-        self.k = config.k
-        self.rhs_scale = config.rhs_scale
-        self.bg_scale = bg_scale
-        self.anchor = anchor(self.m, self.k, config.rhs_scale)
+        super().__init__(config)
         self.rho = bg.rho
+        self.bg_scale = max(1.0, float(np.linalg.eigvalsh(bg.rho).max()))
+        self.h_min = float(grid.spacing.min())
+        self.diameter = float(np.linalg.norm(grid.hi - grid.lo))
         self.D1, self.D2 = box_derivative_operators(grid)
-        self.bmask = grid.boundary
-        self.pde = ~self.bmask
         self.fdm = FastDiag(grid)
-        self.stored = None
 
-    def _assemble(self, u, t):
-        """sigma_0..sigma_k of W_t, its Newton transform T_{k-1} and
-        grad u at every node."""
+    def _sigma(self, u, t):
         grad, hess = fd_derivatives(ScalarField(self.grid, u),
                                     (self.D1, self.D2))
         W = homotopy_tensor(grad, hess, self.rho, t, self.anchor,
                             self.bg_scale)
-        return *sigma_newton(W, self.k), grad
+        esp, T = sigma_newton(W, self.k)
+        return esp, (T, grad)
 
-    def residual(self, u, t, bc, fvals):
-        esp, T, grad = self._assemble(u, t)
-        self.stored = (u.copy(), t, (T, grad))
-        margin = esp[self.pde, 1 : self.k + 1].min()
-        rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
-        F = (esp[:, self.k] - rhs) / (1.0 + rhs)
-        F[self.bmask] = u[self.bmask] - bc[self.bmask]
-        return F, margin
-
-    def jacobian(self, u, t, fvals):
-        m, k = self.m, self.k
-        T, grad = _take_stored(self, u, t) or self._assemble(u, t)[1:]
-        c2, c1 = linear_coefficients(T, grad, self.bg_scale)
-        rhs = self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
-        w = self.pde / (1.0 + rhs)
+    def _operator(self, built, w, c0):
+        m, pde = self.m, self.pde
+        c2, c1 = linear_coefficients(*built, self.bg_scale)
         terms = []
         for a in range(m):
             terms.append((c1[:, a] * w, self.D1[a]))
@@ -359,21 +358,9 @@ class _BoxDisc:
                 terms.append((mult * c2[:, a, b] * w, self.D2[(a, b)]))
         # leading scale d = w tr(c2)/m is positive on PDE rows inside the
         # cone; the preconditioner divides those rows by it
-        pde = self.pde
         scale = w[pde] * np.trace(c2[pde], axis1=1, axis2=2) / m
-        shift = float(np.mean(-2.0 * k * rhs[pde] * w[pde] / scale))
-        return _BoxJacobian(self.bmask - 2.0 * k * rhs * w, terms, scale,
-                            shift, self.fdm)
-
-
-def _take_stored(disc, u, t):
-    """What the last residual evaluation stored on disc.stored, if it was
-    made at this (u, t), else None; either way it is released, so it is
-    not held through the linear solve."""
-    at, disc.stored = disc.stored, None
-    if at is not None and at[1] == t and np.array_equal(at[0], u):
-        return at[2]
-    return None
+        shift = float(np.mean(c0[pde] / scale))
+        return _BoxJacobian(c0, terms, scale, shift, self.fdm)
 
 
 @dataclass
@@ -437,11 +424,11 @@ class _PrecondSolver:
         return x
 
 
-def _make_disc(config, bg_scale):
+def _make_disc(config):
     if isinstance(config.grid, RadialGrid):
-        return _RadialDisc(config, bg_scale)
+        return _RadialDisc(config)
     if isinstance(config.grid, BoxGrid):
-        return _BoxDisc(config, bg_scale)
+        return _BoxDisc(config)
     raise TypeError(f"unsupported grid {type(config.grid)!r}")
 
 
@@ -452,15 +439,15 @@ def _make_disc(config, bg_scale):
 def _line_search(disc, u, h, res, t, bc, fvals, config, s=1.0):
     """Halve the step s from 1 (or the given start) until u + s h stays in
     the cone and lowers the residual (or meets tol); returns (u, F, res,
-    margin) at the accepted point, or None once s underflows 1e-8."""
+    margin, built) at the accepted point, or None once s underflows 1e-8."""
     while s >= 1e-8:
         u_new = u + s * h
-        F_new, margin_new = disc.residual(u_new, t, bc, fvals)
+        F_new, margin_new, built = disc.residual(u_new, t, bc, fvals)
         res_new = np.max(np.abs(F_new))
         if margin_new > CONE_MARGIN_MIN and (
             res_new < res or res_new <= config.tol_residual
         ):
-            return u_new, F_new, res_new, margin_new
+            return u_new, F_new, res_new, margin_new, built
         s *= 0.5
     return None
 
@@ -472,22 +459,24 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
     (res <= tol), ``increment`` (a full step below 1e-9 (1 + |u|) that
     stays in the cone) or ``damping-floor`` (no damped step lowers a
     residual already at most max(100 tol, 1e-6)).  Each iterate is
-    evaluated once: the line search's evaluation of the point it accepts
-    serves the next iteration."""
+    evaluated once: the line search's evaluation of the point it accepts,
+    with what it built, serves the next iteration, and the build is
+    dropped before the linear solve."""
     tol = config.tol_residual
-    F, margin = disc.residual(u, t, bc, fvals)
+    F, margin, built = disc.residual(u, t, bc, fvals)
     for it in range(MAX_NEWTON):
         res = np.max(np.abs(F))
         if res <= tol and margin > CONE_MARGIN_MIN:
             return u, it, res, F, margin, "residual"
-        h = _PrecondSolver().solve(disc.jacobian(u, t, fvals), -F)
+        J, built = disc.jacobian(u, fvals, built), None
+        h = _PrecondSolver().solve(J, -F)
         s = 1.0
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is
         # the honest convergence measure there
         if np.max(np.abs(h)) <= 1e-9 * (1.0 + np.max(np.abs(u))):
             u_new = u + h
-            F_new, margin_new = disc.residual(u_new, t, bc, fvals)
+            F_new, margin_new, _ = disc.residual(u_new, t, bc, fvals)
             if margin_new > CONE_MARGIN_MIN:
                 return (u_new, it + 1, np.max(np.abs(F_new)), F_new,
                         margin_new, "increment")
@@ -501,7 +490,8 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
                 trace,
             )
-        u, F, _, margin = step
+        u, F, _, margin, built = step
+        del step  # it holds the build, which the linear solve must not
     raise ContinuationFailure(
         f"Newton did not converge at t={t:.4f}", trace
     )
@@ -569,18 +559,16 @@ def solve_dirichlet(config):
     manufactured right-hand factor are reached by a second homotopy after
     t = 1.
     """
-    bg_scale = _background_prescale(config.background)
-    disc = _make_disc(config, bg_scale)
+    disc = _make_disc(config)
     bc = _boundary_values(config.grid, config.boundary_data)
     fvals = _rhs_factor_values(config.grid, config.rhs_factor)
     u, res, margin, trace = _continuation(disc, config, bc, fvals)
     return HomotopyState(
-        t=1.0,
         u=ScalarField(config.grid, u),
         cone_margin=float(margin),
         residual_norm=float(res),
         trace=trace,
-        background_scale=bg_scale,
+        background_scale=disc.bg_scale,
     )
 
 
@@ -591,18 +579,6 @@ def complete_grading(n):
     convergence studies on complete solves see clean second-order decay.
     """
     return float(np.exp(10.0 / (n - 1)))
-
-
-def _min_spacing(grid):
-    if isinstance(grid, RadialGrid):
-        return float(np.diff(grid.nodes).min())
-    return float(grid.spacing.min())
-
-
-def _domain_diameter(grid):
-    if isinstance(grid, RadialGrid):
-        return 2.0 * grid.r1
-    return float(np.linalg.norm(grid.hi - grid.lo))
 
 
 def solve_complete(config):
@@ -620,14 +596,11 @@ def solve_complete(config):
     near-boundary window, the window, and the fit residual.
     """
     grid = config.grid
-    bg_scale = _background_prescale(config.background)
-    disc = _make_disc(config, bg_scale)
+    disc = _make_disc(config)
     fvals = _rhs_factor_values(grid, config.rhs_factor)
     d = boundary_distance(grid).values
-    diam = _domain_diameter(grid)
-    core = d >= CORE_CUT_FRAC * diam
-    h_min = _min_spacing(grid)
-    j_cap = max(J_STEP, -log(5.0 * h_min))
+    core = d >= CORE_CUT_FRAC * disc.diameter
+    j_cap = max(J_STEP, -log(5.0 * disc.h_min))
 
     j = J_STEP
     bc = _boundary_values(grid, j)
@@ -667,7 +640,8 @@ def solve_complete(config):
         u = u0 + d2 * q / (1.0 - q)
         extrapolated = True
 
-    report = _asymptotics_fit(grid, u, d, j, h_min, config.k)
+    report = _asymptotics_fit(grid, u, d, j, disc.h_min, disc.diameter,
+                              config.k)
     report["tail_extrapolated"] = extrapolated
     report["j_final"] = j
     report["j_cap"] = j_cap
@@ -677,17 +651,16 @@ def solve_complete(config):
         else None
     )
     return HomotopyState(
-        t=1.0,
         u=ScalarField(grid, u),
         cone_margin=float(margin),
         residual_norm=float(res),
         trace=trace,
-        background_scale=bg_scale,
+        background_scale=disc.bg_scale,
         asymptotics=report,
     )
 
 
-def _asymptotics_fit(grid, u, d, j_final, h_min, k):
+def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k):
     """Fit the constant of u + ln(distance) near the boundary.
 
     The window [1e3, 1e4] e^{-j_final} sits far enough outside the
@@ -697,7 +670,7 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, k):
     """
     lo = 1e3 * np.exp(-j_final)
     hi = 1e4 * np.exp(-j_final)
-    hi = min(hi, 0.2 * _domain_diameter(grid))
+    hi = min(hi, 0.2 * diameter)
     lo = min(lo, 0.5 * hi)
     sel = (d >= lo) & (d <= hi) & (d > 0)
     if sel.sum() < 3:

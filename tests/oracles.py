@@ -109,3 +109,12 @@ def manufactured_box(grid, k):
     hess = hess + 0.4 * np.eye(3)
     esp = sigma_all(np.linalg.eigvalsh(conformal_tensor(grad, hess)))
     return u, grad, hess, esp[:, k] * np.exp(-2 * k * u)
+
+
+def background_prescale(g, rho):
+    """max(1, largest eigenvalue of g^{-1} rho over the nodes), by the
+    symmetric reduction L^{-1} rho L^{-T} of the generalized eigenproblem
+    rho v = lam g v, with g = L L^T the Cholesky factor at each node."""
+    Li = np.linalg.inv(np.linalg.cholesky(g))
+    A = Li @ rho @ np.swapaxes(Li, -1, -2)
+    return max(1.0, float(np.linalg.eigvalsh(A)[:, -1].max()))

@@ -81,6 +81,7 @@ class TestFlagFileParity:
             expect.update({"-h": "help", "--help": "help",
                            "--config": "config"})
             assert dests == expect, name
+            assert all(a.help for a in sub._actions), name
 
     def test_file_line_matches_flag(self, tmp_path):
         parser, subs = _subparsers()
@@ -277,6 +278,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: need at least 4 nodes")
         assert ("per axis" in err) == per_axis
+        assert not out.exists()
+
+    # a number that parses but is no valid input names its key, exit 2
+    @pytest.mark.parametrize("argv, key", [
+        (["--rhs-scale", "-1", "--grid", "33"], "rhs_scale"),
+        (["--rhs-scale", "-1", "--domain", "box", "--grid", "7"],
+         "rhs_scale"),
+        (["--tol", "nan", "--grid", "33"], "tol_residual"),
+        (["--j", "nan", "--grid", "33"], "boundary data"),
+    ], ids=["rhs-scale", "rhs-scale-box", "tol-nan", "j-nan"])
+    def test_bad_number_rejected(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["solve-dirichlet"] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
         assert not out.exists()
 
     def test_warped_ball_rejected(self, capsys):

@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sigmaric.continuation_solver as cs
-from oracles import manufactured_box
+from oracles import background_prescale, manufactured_box
 from sigmaric.conformal_ops import conformal_tensor
 from sigmaric.continuation_solver import (
     SolveConfig,
@@ -35,6 +37,24 @@ class TestConfig:
             SolveConfig(grid=grid, background=bg, k=4)
         with pytest.raises(ValueError):
             SolveConfig(grid=grid, background=bg, k=2, tol_residual=0.0)
+
+    @pytest.mark.parametrize("key", ["rhs_scale", "tol_residual"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+    def test_scalars_finite_and_positive(self, key, value):
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        with pytest.raises(ValueError, match=key):
+            flat_config(grid, 2, **{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("boundary_data", np.nan), ("boundary_data", np.inf),
+        ("rhs_factor", np.nan), ("rhs_factor", np.inf),
+    ])
+    def test_fields_finite(self, key, value):
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        vals = np.ones(grid.n)
+        vals[-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            solve_dirichlet(flat_config(grid, 2, **{key: vals}))
 
     def test_boundary_data_length(self):
         grid = make_radial_grid(0.5, 1.0, 33, m=3)
@@ -231,9 +251,15 @@ def _converged(grid, k, data):
     """Converged Dirichlet state and the discretization it was solved on."""
     cfg = flat_config(grid, k, boundary_data=data)
     state = solve_dirichlet(cfg)
-    disc = cs._make_disc(cfg, state.background_scale)
+    disc = cs._make_disc(cfg)
     bc = cs._boundary_values(grid, data)
     return disc, state.u.values, bc
+
+
+def _jacobian_at(disc, u, bc):
+    """The Jacobian at (u, t = 1), from what the residual there built."""
+    ones = np.ones(u.size)
+    return disc.jacobian(u, ones, disc.residual(u, 1.0, bc, ones)[2])
 
 
 def _box_state(k, hi=(1.0, 0.5, 0.8), counts=(11, 7, 9)):
@@ -280,11 +306,11 @@ class TestDiscreteJacobian:
     def test_matches_central_differences(self, case):
         disc, u, bc, v = _STATES[case]()
         ones = np.ones(u.size)
-        J = disc.jacobian(u, 1.0, ones)
+        J = _jacobian_at(disc, u, bc)
         Jv = J.matvec(v) if case.startswith("box") else J @ v
         eps = 1e-6
-        Fp, _ = disc.residual(u + eps * v, 1.0, bc, ones)
-        Fm, _ = disc.residual(u - eps * v, 1.0, bc, ones)
+        Fp = disc.residual(u + eps * v, 1.0, bc, ones)[0]
+        Fm = disc.residual(u - eps * v, 1.0, bc, ones)[0]
         fd = (Fp - Fm) / (2.0 * eps)
         err = np.max(np.abs(Jv - fd)) / np.max(np.abs(Jv))
         assert err <= 1e-6
@@ -294,8 +320,8 @@ class TestDiscreteJacobian:
     @pytest.mark.parametrize("state", [_ball_state, _radial_state],
                              ids=["radial-ball", "radial-annulus"])
     def test_no_stored_zeros(self, state):
-        disc, u, _, _ = state()
-        J = disc.jacobian(u, 1.0, np.ones(u.size))
+        disc, u, bc, _ = state()
+        J = _jacobian_at(disc, u, bc)
         assert J.nnz == np.count_nonzero(J.data)
 
     # the radial fill on the pattern of the parameter-space stencil Dxi2
@@ -306,7 +332,7 @@ class TestDiscreteJacobian:
         make_radial_grid(0.5, 1.0, 65, grading=1.05, m=4, cluster="both"),
     ], ids=["ball", "annulus"])
     def test_radial_fill_matches_sparse_sum(self, grid):
-        disc = cs._make_disc(flat_config(grid, 2), 1.0)
+        disc = cs._make_disc(flat_config(grid, 2))
         c2, c1, c0 = np.random.default_rng(7).standard_normal((3, grid.n))
         ball = np.zeros(grid.n)
         if grid.is_ball:
@@ -321,65 +347,109 @@ class TestDiscreteJacobian:
 
 class TestEvaluatedOnce:
     # the line search's evaluation of the point it accepts serves the next
-    # Newton iteration, and the Jacobian reuses what the residual built at
-    # the same (u, t).  A point is (u, t, bc, f): a ramp step starts at the
-    # last step's (u, t = 1) with new data, which is a new residual
+    # Newton iteration, and the Jacobian takes what the residual at the
+    # same u built: no Jacobian runs _sigma, and the build is released
+    # before the linear solve.  A point is (u, t, bc, f): a ramp step
+    # starts at the last step's (u, t = 1) with new data, which is a new
+    # residual
     @pytest.mark.parametrize("case", ["radial", "box"])
     def test_each_point_once(self, case, monkeypatch):
         if case == "radial":
             grid = make_radial_grid(0.5, 1.0, 65, m=4)
             data = np.where(grid.nodes > 0.75, 0.5, 0.0)
-            cls, build, k = cs._RadialDisc, "_eigen_pair", 3
+            cls, k = cs._RadialDisc, 3
         else:
             grid = make_box_grid([0, 0, 0], [1, 1, 1], [9, 9, 9])
             x, y, z = grid.points.T
             data = 0.5 + 0.1 * np.sin(x + 2 * y - z)
-            cls, build, k = cs._BoxDisc, "_assemble", 2
-        points, builds, jacobians = [], [0], []
-        residual, jacobian = cls.residual, cls.jacobian
-        assemble = getattr(cls, build)
+            cls, k = cs._BoxDisc, 2
+        points, builds, jacobians, held = [], [0], [], []
+        residual, jacobian, sigma = cls.residual, cls.jacobian, cls._sigma
+        solve = cs._PrecondSolver.solve
 
-        def counted_build(self, u, t):
+        def counted_sigma(self, u, t):
             builds[0] += 1
-            return assemble(self, u, t)
+            return sigma(self, u, t)
 
         def recorded_residual(self, u, t, bc, fvals):
             points.append((u.copy(), t, bc.copy(), fvals.copy()))
-            return residual(self, u, t, bc, fvals)
+            out = residual(self, u, t, bc, fvals)
+            points[-1] += (weakref.ref(out[2][0]),)
+            return out
 
-        def recorded_jacobian(self, u, t, fvals):
+        def recorded_jacobian(self, u, fvals, built):
             last = points[-1]
-            follows = last[1] == t and np.array_equal(last[0], u)
+            follows = np.array_equal(last[0], u) and last[4]() is built[0]
             before = builds[0]
-            J = jacobian(self, u, t, fvals)
-            jacobians.append((follows, builds[0] - before))
+            J = jacobian(self, u, fvals, built)
+            jacobians.append((follows, builds[0] - before,
+                              weakref.ref(built[0])))
             return J
 
-        monkeypatch.setattr(cls, build, counted_build)
+        def checked_solve(self, J, b):
+            held.append(jacobians[-1][2]() is not None)
+            return solve(self, J, b)
+
+        monkeypatch.setattr(cls, "_sigma", counted_sigma)
         monkeypatch.setattr(cls, "residual", recorded_residual)
         monkeypatch.setattr(cls, "jacobian", recorded_jacobian)
+        monkeypatch.setattr(cs._PrecondSolver, "solve", checked_solve)
         solve_dirichlet(flat_config(grid, k, boundary_data=data))
+        assert builds[0] == len(points)
         for p, q in zip(points, points[1:]):
             assert not (p[1] == q[1] and all(
                 np.array_equal(p[i], q[i]) for i in (0, 2, 3)))
-        assert jacobians and all(f for f, _ in jacobians)
-        assert sum(n for _, n in jacobians) == 0
+        assert jacobians and all(f for f, _, _ in jacobians)
+        assert sum(n for _, n, _ in jacobians) == 0
+        assert len(held) == len(jacobians) and not any(held)
 
-    # the Jacobian after residual(u, t) takes what that evaluation built;
-    # with nothing stored it builds the same again, to the last bit
-    @pytest.mark.parametrize("case", ["box-k3", "radial-m4-k3"])
-    def test_stored_build_matches_fresh(self, case):
-        disc, u, bc, v = _STATES[case]()
-        ones = np.ones(u.size)
-        disc.residual(u, 1.0, bc, ones)
-        assert disc.stored is not None
-        reused = disc.jacobian(u, 1.0, ones)
-        disc.stored = None
-        fresh = disc.jacobian(u, 1.0, ones)
-        if case.startswith("box"):
-            assert np.array_equal(reused.matvec(v), fresh.matvec(v))
-        else:
-            assert np.array_equal(reused @ v, fresh @ v)
+    # the build is handed from residual to jacobian, never kept: a solve
+    # leaves every attribute of the discretization as it found it
+    @pytest.mark.parametrize("grid", [
+        make_radial_grid(0.0, 1.0, 33, m=3),
+        make_box_grid([0, 0, 0], [1, 1, 1], [7, 7, 7]),
+    ], ids=["radial", "box"])
+    def test_solve_leaves_no_state(self, grid):
+        cfg = flat_config(grid, 2, boundary_data=0.5)
+        disc = cs._make_disc(cfg)
+        before = {key: (v, v.copy() if isinstance(v, np.ndarray) else None)
+                  for key, v in vars(disc).items()}
+        cs._continuation(disc, cfg, np.full(grid.n, 0.5), np.ones(grid.n))
+        assert vars(disc).keys() == before.keys()
+        for key, (v, copy) in before.items():
+            assert vars(disc)[key] is v, key
+            assert copy is None or np.array_equal(v, copy), key
+
+
+class TestPrescale:
+    # the scale c >= 1 with c g >= rho each discretization reads off what
+    # it extracts, against the Cholesky reduction of the generalized
+    # eigenproblem rho v = lam g v on the full background
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("profile", [
+        (np.sinh, np.cosh, np.sinh),
+        (np.sin, np.cos, lambda r: -np.sin(r)),
+        (np.cosh, np.sinh, np.cosh),
+    ], ids=["sinh", "sin", "cosh"])
+    def test_warped_annulus(self, profile, m):
+        grid = make_radial_grid(0.5, 1.0, 65, m=m)
+        bg = background_ricci(grid, "warped", profile=profile)
+        scale = cs._make_disc(SolveConfig(grid=grid, background=bg,
+                                          k=2)).bg_scale
+        ref = background_prescale(bg.g, bg.rho)
+        assert abs(scale - ref) <= 2 * np.spacing(ref)
+
+    def test_box_random_rho(self):
+        grid = make_box_grid([0, 0, 0], [1, 1, 1], [5, 5, 5])
+        A = np.random.default_rng(3).standard_normal((grid.n, 3, 3))
+        rho = A + np.swapaxes(A, 1, 2)
+        g = np.broadcast_to(np.eye(3), rho.shape).copy()
+        bg = BackgroundMetric(grid, "flat", g, rho)
+        scale = cs._make_disc(SolveConfig(grid=grid, background=bg,
+                                          k=2)).bg_scale
+        ref = background_prescale(g, rho)
+        assert ref > 1.0
+        assert abs(scale - ref) <= 2 * np.spacing(ref)
 
 
 class TestBoxLinearSolve:
@@ -390,8 +460,8 @@ class TestBoxLinearSolve:
     def test_matches_direct_solve(self, lo, hi, counts, k):
         grid = make_box_grid(lo, hi, counts)
         data = 0.5 + 0.1 * np.sin(grid.points @ np.arange(1, grid.m + 1))
-        disc, u, _ = _converged(grid, k, data)
-        J = disc.jacobian(u, 1.0, np.ones(grid.n))
+        disc, u, bc = _converged(grid, k, data)
+        J = _jacobian_at(disc, u, bc)
         b = np.random.default_rng(23).standard_normal(grid.n)
         x = cs._PrecondSolver().solve(J, b)
         # the matrix of the operator, one column per unit vector
