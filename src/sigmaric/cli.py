@@ -93,7 +93,7 @@ _KEYS = {
     "j": (float, 0.0, "constant boundary data"),
     "data_file": (str, None, "per-node boundary data file"),
     "rhs_scale": (float, 1.0, "factor c > 0 of the right-hand side c e^{2ku}"),
-    "tol": (float, 1e-10, "residual tolerance"),
+    "tol": (float, 1e-10, "residual tolerance tol_residual"),
     "phi": (str, None, "conformal exponent expression in r"),
     "curvature": (str, None, "curvature expression in x, y, r (surface)"),
     "psi": (str, None, "background exponent expression (surface)"),
@@ -145,6 +145,9 @@ def resolve_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    for key, (parse, _, text) in _KEYS.items():
+        if parse is float and not np.isfinite(cfg[key]):
+            raise ConfigError(f"{key}: {text} must be finite, got {cfg[key]}")
     cfg["command"] = args.command
     if cfg["k"] is None:
         cfg["k"] = cfg["dim"]

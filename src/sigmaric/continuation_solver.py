@@ -11,24 +11,23 @@ fit of u + ln(distance).
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
 graded radial grids (the axisymmetric reduction, second-order mapped
-stencils, sparse LU) and uniform boxes (sparse tensor-product stencils,
-sigma_j and the Newton transform from one Faddeev-LeVerrier pass,
-matrix-free GMRES preconditioned by the fast diagonalization method).
-Boxes build W_t and the Jacobian coefficients with the batched kernel of
-conformal_ops, which the oracle tests check; radial grids reduce W_t to
-its two distinct eigenvalues.  Both take their anchor from conformal_ops
-and sigma_j from symfun.  The independent Chebyshev collocation oracle
-lives in radial_oracle and shares nothing with this module.
+stencils, sparse LU on Jacobians filled into the pattern of the
+parameter-space second-difference stencil) and uniform boxes (sparse
+tensor-product stencils on the PDE rows, sigma_j and the Newton transform
+from one Faddeev-LeVerrier pass).  Box Jacobians are never assembled:
+GMRES, preconditioned by the fast diagonalization method, sees only their
+products and solves each Newton step only to an Eisenstat-Walker forcing
+term (inexact Newton-Krylov, Knoll & Keyes 2004).  Boxes build W_t and
+the Jacobian coefficients with the batched kernel of conformal_ops, which
+the oracle tests check; radial grids reduce W_t to its two distinct
+eigenvalues.  Both take their anchor from conformal_ops and sigma_j from
+symfun.  The independent Chebyshev collocation oracle lives in
+radial_oracle and shares nothing with this module.
 
-Box Jacobians are never assembled: GMRES sees only their products with
-a vector, applied term by term from the stencil operators
-(Jacobian-free Newton-Krylov, Knoll & Keyes 2004).  Radial Jacobians are
-filled into the pattern of the parameter-space second-difference
-stencil, which holds every term they combine.  Each iterate is
-evaluated once: the residual returns what it built besides F, the line
-search returns that with the point it accepts, and the Jacobian takes
-it.  Nothing is kept on a discretization, and Newton never changes an
-iterate in place.
+Each iterate is evaluated once: the residual returns what it built
+besides F, the line search returns that with the point it accepts, and
+the Jacobian takes it.  Nothing is kept on a discretization, and Newton
+never changes an iterate in place.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -79,6 +78,9 @@ class InvariantViolation(RuntimeError):
 
 # How the solutions are computed, not part of the problem.
 T_STEP_INIT = 0.25  # first and largest continuation step
+ETA_MAX = 0.1  # first and largest forcing term of a box Krylov solve
+ETA_GAMMA = 0.9  # eta_k = ETA_GAMMA (|F_k| / |F_{k-1}|)^2
+ETA_MIN = 1e-10  # least forcing term
 MAX_NEWTON = 40  # Newton iterations per continuation step
 CONE_MARGIN_MIN = 1e-12  # least min_j sigma_j an accepted iterate keeps
 CORE_CUT_FRAC = 0.05  # the core: distance >= CORE_CUT_FRAC * diameter
@@ -311,16 +313,14 @@ class _RadialDisc(_Disc):
 class _BoxDisc(_Disc):
     """Tensor-product stencils on a uniform box with a flat background metric.
 
-    g = delta nodewise (rho may be nonzero, and the prescale is its top
-    eigenvalue); conformally flat backgrounds are handled by the callers
-    through the substitution v = u + phi, which turns them into flat
-    solves exactly.  W_t and the Jacobian's (c2, c1) come from the
-    conformal_ops kernel; sigma_j(W_t) and the Newton transform
-    T_{k-1}(W_t) from one symfun.sigma_newton pass, with no
-    eigendecomposition.  The build is (T_{k-1}, grad u).  The Jacobian is
-    matrix-free: an operator that applies the stencils D1[a] and
-    D2[(a, b)] with its row coefficients, which _PrecondSolver hands to
-    GMRES.
+    g = delta nodewise (rho may be nonzero; the prescale is its top
+    eigenvalue); callers turn conformally flat backgrounds into flat solves
+    of v = u + phi exactly.  All is formed at the PDE rows only (boundary
+    rows are u - bc): W_t and the Jacobian's (c2, c1) by the conformal_ops
+    kernel, sigma_j(W_t) and the Newton transform T_{k-1}(W_t) by one
+    symfun.sigma_newton pass.  The build is (T_{k-1}, grad u).  The
+    Jacobian is matrix-free: the stencils D1[a] and D2[(a, b)], kept on
+    the PDE rows, applied with their row coefficients.
     """
 
     def __init__(self, config):
@@ -332,11 +332,13 @@ class _BoxDisc(_Disc):
                 "backgrounds to flat solves of u + phi first"
             )
         super().__init__(config)
-        self.rho = bg.rho
+        self.rho = bg.rho[self.pde]
         self.bg_scale = max(1.0, float(np.linalg.eigvalsh(bg.rho).max()))
         self.h_min = float(grid.spacing.min())
         self.diameter = float(np.linalg.norm(grid.hi - grid.lo))
-        self.D1, self.D2 = box_derivative_operators(grid)
+        D1, D2 = box_derivative_operators(grid)
+        self.D1 = [D[self.pde] for D in D1]
+        self.D2 = {key: D[self.pde] for key, D in D2.items()}
         self.fdm = FastDiag(grid)
 
     def _sigma(self, u, t):
@@ -345,10 +347,12 @@ class _BoxDisc(_Disc):
         W = homotopy_tensor(grad, hess, self.rho, t, self.anchor,
                             self.bg_scale)
         esp, T = sigma_newton(W, self.k)
-        return esp, (T, grad)
+        full = np.zeros((self.grid.n, self.k + 1))  # F is u - bc there
+        full[self.pde] = esp
+        return full, (T, grad)
 
     def _operator(self, built, w, c0):
-        m, pde = self.m, self.pde
+        m, w = self.m, w[self.pde]
         c2, c1 = linear_coefficients(*built, self.bg_scale)
         terms = []
         for a in range(m):
@@ -358,8 +362,9 @@ class _BoxDisc(_Disc):
                 terms.append((mult * c2[:, a, b] * w, self.D2[(a, b)]))
         # leading scale d = w tr(c2)/m is positive on PDE rows inside the
         # cone; the preconditioner divides those rows by it
-        scale = w[pde] * np.trace(c2[pde], axis1=1, axis2=2) / m
-        shift = float(np.mean(c0[pde] / scale))
+        scale = w * np.trace(c2, axis1=1, axis2=2) / m
+        shift = float(np.mean(c0[self.pde] / scale))
+        scale = scale.reshape(self.fdm.lam.shape)
         return _BoxJacobian(c0, terms, scale, shift, self.fdm)
 
 
@@ -368,9 +373,9 @@ class _BoxJacobian:
     """Matrix-free box Jacobian with what its preconditioner needs.
 
     J v = c0 v + sum_i c_i (A_i v) over terms = [(c_i, A_i)], the stencils
-    D1[a] and D2[(a, b)] with their row coefficients.  scale holds the
-    leading scale d = w tr(c2)/m at the PDE rows, shift the mean of their
-    zero-order coefficient over d.
+    D1[a] and D2[(a, b)] on the PDE rows (the interior box) with their row
+    coefficients, the sum added into those rows once.  scale is the leading
+    scale d = w tr(c2)/m there, shaped like the box; shift the mean c0 / d.
     """
 
     c0: np.ndarray
@@ -380,46 +385,48 @@ class _BoxJacobian:
     fdm: FastDiag
 
     def matvec(self, v):
-        out = self.c0 * v
+        pde = np.zeros(self.scale.size)
         for c, A in self.terms:
-            out += c * (A @ v)
+            pde += c * (A @ v)
+        out = self.c0 * v
+        inner = out.reshape(self.fdm.shape)[self.fdm.interior]
+        inner += pde.reshape(inner.shape)
         return out
 
     def precondition(self, r):
         """Boundary rows are the identity; PDE rows solve
         (sum_a A_a + shift) x = r / d by fast diagonalization."""
-        fdm = self.fdm
         x = r.copy()
-        inner = x.reshape(fdm.shape)[fdm.interior]
-        inner[...] = fdm.solve(inner / self.scale.reshape(inner.shape),
-                               self.shift)
+        inner = x.reshape(self.fdm.shape)[self.fdm.interior]
+        inner[...] = self.fdm.solve(inner / self.scale, self.shift)
         return x
 
 
 class _PrecondSolver:
     """Linear solver for the Newton steps.
 
-    Radial Jacobians are banded and factor exactly by sparse LU.  Box
-    Jacobians are operators: GMRES needs only their products, and the fast
-    diagonalization preconditioner needs no factorization.
+    Radial Jacobians are banded and factor exactly by sparse LU, ignoring
+    the forcing term eta.  Box Jacobians are operators: GMRES, preconditioned
+    by fast diagonalization, runs to |J x - b|_2 <= eta |b|_2 and retries
+    once, warm, unless the true residual meets that or the rounding floor.
     """
 
-    def solve(self, J, b):
+    def solve(self, J, b, eta=ETA_MIN):
         if sp.issparse(J):
             return splu(J).solve(b)
         shape = (b.size, b.size)
         A = spla.LinearOperator(shape, matvec=J.matvec, dtype=float)
         M = spla.LinearOperator(shape, matvec=J.precondition, dtype=float)
-        tol = 1e-8 * max(1.0, np.max(np.abs(b)))
+        floor = 1e-8 * max(1.0, np.max(np.abs(b)))
         x = None
         for _ in range(2):
-            x, _ = spla.gmres(
-                A, b, x0=x, M=M, rtol=1e-10, atol=0.0, restart=100,
-                maxiter=10,
-            )
+            x, _ = spla.gmres(A, b, x0=x, M=M, rtol=eta, atol=0.0,
+                              restart=100, maxiter=10)
             # judge by the true residual; rounding can keep the internal
             # criterion from being met even after full convergence
-            if np.max(np.abs(J.matvec(x) - b)) <= tol:
+            r = J.matvec(x) - b
+            if (np.linalg.norm(r) <= eta * np.linalg.norm(b)
+                    or np.max(np.abs(r)) <= floor):
                 break
         return x
 
@@ -461,15 +468,24 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
     residual already at most max(100 tol, 1e-6)).  Each iterate is
     evaluated once: the line search's evaluation of the point it accepts,
     with what it built, serves the next iteration, and the build is
-    dropped before the linear solve."""
-    tol = config.tol_residual
+    dropped before the linear solve, which gets the forcing term ETA_MAX,
+    then Eisenstat & Walker's (1996) choice 2 in the 2-norm, safeguarded,
+    capped at ETA_MAX and floored at max(0.5 tol / res, ETA_MIN)."""
+    tol, eta = config.tol_residual, ETA_MAX
     F, margin, built = disc.residual(u, t, bc, fvals)
     for it in range(MAX_NEWTON):
         res = np.max(np.abs(F))
         if res <= tol and margin > CONE_MARGIN_MIN:
             return u, it, res, F, margin, "residual"
+        norm = np.linalg.norm(F)
+        if it:
+            eta_prev, eta = eta, ETA_GAMMA * (norm / norm_prev) ** 2
+            if ETA_GAMMA * eta_prev**2 > 0.1:  # Kelley's safeguard
+                eta = max(eta, ETA_GAMMA * eta_prev**2)
+        eta = max(min(eta, ETA_MAX), 0.5 * tol / res, ETA_MIN)
+        norm_prev = norm
         J, built = disc.jacobian(u, fvals, built), None
-        h = _PrecondSolver().solve(J, -F)
+        h = _PrecondSolver().solve(J, -F, eta)
         s = 1.0
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is

@@ -243,9 +243,9 @@ class FastDiag:
         self.lam = lam
 
     def _apply(self, x, transpose):
-        for a, Q in enumerate(self.Q):
-            x = np.tensordot(Q.T if transpose else Q, x, axes=(1, a))
-            x = np.moveaxis(x, 0, a)
+        # each pass contracts the leading axis and puts its result last
+        for Q in self.Q:
+            x = np.moveaxis(x, 0, -1) @ (Q if transpose else Q.T)
         return x
 
     def solve(self, r, shift):
@@ -276,7 +276,8 @@ def fd_derivatives(f, operators=None):
     """Gradient and Hessian fields of a ScalarField on a box grid.
 
     Second-order centered stencils at interior nodes, second-order one-sided
-    stencils at the boundary, mixed partials by nested centered differences.
+    stencils at the boundary, mixed partials by nested centered differences;
+    operators restricted to some rows give the derivatives at those rows.
     """
     grid = f.grid
     if not isinstance(grid, BoxGrid):
@@ -286,7 +287,7 @@ def fd_derivatives(f, operators=None):
     D1, D2 = operators
     u = f.values
     grad = np.stack([D1[a] @ u for a in range(grid.m)], axis=1)
-    hess = np.empty((grid.n, grid.m, grid.m))
+    hess = np.empty((grad.shape[0], grid.m, grid.m))
     for a in range(grid.m):
         hess[:, a, a] = D2[(a, a)] @ u
         for b in range(a + 1, grid.m):

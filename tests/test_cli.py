@@ -295,6 +295,22 @@ class TestExitCodes:
         assert err.startswith("config error:") and key in err
         assert not out.exists()
 
+    # nan and inf parse as floats; every command rejects them for every
+    # float key, whether or not it reads the key
+    @pytest.mark.parametrize("argv, key", [
+        (["surface", "--domain", "box", "--grid", "9,9", "--tol", "nan"],
+         "tol"),
+        (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
+          "--r0", "inf"], "r0"),
+    ], ids=["surface-tol-nan", "box-r0-inf"])
+    def test_non_finite_float_rejected(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:")
+        assert "finite" in err
+        assert not out.exists()
+
     def test_warped_ball_rejected(self, capsys):
         # warped backgrounds need an annulus; the default domain is a ball
         assert main(["solve-dirichlet", "--background", "warped:sinh"]) == 2

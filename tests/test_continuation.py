@@ -386,9 +386,9 @@ class TestEvaluatedOnce:
                               weakref.ref(built[0])))
             return J
 
-        def checked_solve(self, J, b):
+        def checked_solve(self, J, b, eta):
             held.append(jacobians[-1][2]() is not None)
-            return solve(self, J, b)
+            return solve(self, J, b, eta)
 
         monkeypatch.setattr(cls, "_sigma", counted_sigma)
         monkeypatch.setattr(cls, "residual", recorded_residual)
@@ -468,3 +468,45 @@ class TestBoxLinearSolve:
         A = np.column_stack([J.matvec(e) for e in np.eye(grid.n)])
         ref = spla.spsolve(sp.csc_matrix(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+class TestForcingTerms:
+    # box Newton steps are solved only to the forcing term eta they are
+    # given (inexact Newton); on this box no solve needs the rounding floor
+    grid = make_box_grid([0, 0, 0], [1.0, 0.5, 0.8], [11, 7, 9])
+    data = 0.5 + 0.1 * np.sin(grid.points @ np.arange(1, 4))
+
+    def _solve(self, monkeypatch):
+        solves = []
+        solve = cs._PrecondSolver.solve
+
+        def recorded(self, J, b, eta):
+            x = solve(self, J, b, eta)
+            rel = np.linalg.norm(J.matvec(x) - b) / np.linalg.norm(b)
+            solves.append((eta, rel))
+            return x
+
+        monkeypatch.setattr(cs._PrecondSolver, "solve", recorded)
+        state = solve_dirichlet(flat_config(self.grid, 2,
+                                            boundary_data=self.data))
+        monkeypatch.undo()
+        return state, solves
+
+    def test_each_solve_meets_its_forcing_term(self, monkeypatch):
+        _, solves = self._solve(monkeypatch)
+        assert solves and all(rel <= eta for eta, rel in solves)
+        # the floor 0.5 tol / res may lift eta above the cap, never below
+        # ETA_MIN
+        assert min(eta for eta, _ in solves) >= cs.ETA_MIN
+
+    def test_exact_solves_agree(self, monkeypatch):
+        inexact, solves = self._solve(monkeypatch)
+        monkeypatch.setattr(cs, "ETA_MAX", 1e-10)
+        exact, exact_solves = self._solve(monkeypatch)
+        assert solves[0][0] == 0.1 and exact_solves[0][0] < 1e-9
+        u, v = inexact.u.values, exact.u.values
+        assert np.max(np.abs(u - v)) <= 1e-10
+        # the same steps, each with at most one more Newton iteration
+        assert [e[:2] for e in inexact.trace] == [e[:2] for e in exact.trace]
+        assert all(a[2] <= b[2] + 1
+                   for a, b in zip(inexact.trace, exact.trace))

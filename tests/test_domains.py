@@ -3,13 +3,24 @@ import pytest
 
 from oracles import ricci_fd
 from sigmaric.domains import (
+    FastDiag,
     ScalarField,
     background_ricci,
     boundary_distance,
+    box_derivative_operators,
     fd_derivatives,
     make_box_grid,
     make_radial_grid,
+    uniform_d2,
 )
+
+# boxes with unequal counts and spacings in 2, 3 and 4 dimensions
+_BOXES = [
+    ([0, 0], [1.0, 0.7], [9, 6]),
+    ([0, 0, 0], [1.0, 0.5, 0.8], [8, 5, 7]),
+    ([0, 0, 0, 0], [1.0, 0.7, 1.2, 0.9], [6, 5, 7, 4]),
+]
+_BOX_IDS = ["2d", "3d", "4d"]
 
 
 class TestGrids:
@@ -79,6 +90,46 @@ class TestFdDerivatives:
             exact[:, 0, 1] = exact[:, 1, 0] = c[:, 0] * c[:, 1]
             errs.append(np.abs(hess - exact).max())
         assert 3.0 <= errs[0] / errs[1] <= 5.0
+
+    # operators restricted to the interior rows, as the box solver keeps
+    # them, give the full-row derivatives at those rows, bit for bit
+    @pytest.mark.parametrize("lo, hi, counts", _BOXES, ids=_BOX_IDS)
+    def test_restricted_rows(self, lo, hi, counts):
+        grid = make_box_grid(lo, hi, counts)
+        f = ScalarField(grid, np.sin(grid.points @ np.arange(1, grid.m + 1))
+                        + grid.points.prod(axis=1))
+        D1, D2 = box_derivative_operators(grid)
+        rows = ~grid.boundary
+        grad, hess = fd_derivatives(
+            f, ([D[rows] for D in D1], {key: D[rows] for key, D in D2.items()}))
+        full_grad, full_hess = fd_derivatives(f, (D1, D2))
+        assert grad.shape == (rows.sum(), grid.m)
+        assert np.array_equal(grad, full_grad[rows])
+        assert np.array_equal(hess, full_hess[rows])
+
+
+class TestFastDiag:
+    # the fast diagonalization solve against a dense solve of
+    # sum_a A_a + shift, A_a the interior block of the 1-d second
+    # difference lifted to axis a of the interior box
+    @pytest.mark.parametrize("shift", [0.0, -3.5, 2.0])
+    @pytest.mark.parametrize("lo, hi, counts", _BOXES, ids=_BOX_IDS)
+    def test_matches_dense_solve(self, lo, hi, counts, shift):
+        grid = make_box_grid(lo, hi, counts)
+        inner = tuple(c - 2 for c in counts)
+        A = shift * np.eye(int(np.prod(inner)))
+        for a in range(grid.m):
+            block = uniform_d2(counts[a], grid.spacing[a])[1:-1, 1:-1]
+            term = np.ones((1, 1))
+            for b, size in enumerate(inner):
+                term = np.kron(term, block.toarray() if b == a
+                               else np.eye(size))
+            A += term
+        r = np.random.default_rng(sum(counts)).standard_normal(inner)
+        x = FastDiag(grid).solve(r, shift)
+        ref = np.linalg.solve(A, r.ravel()).reshape(inner)
+        assert x.shape == inner
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBackgroundRicci:
