@@ -495,7 +495,7 @@ class TestForcingTerms:
     def test_each_solve_meets_its_forcing_term(self, monkeypatch):
         _, solves = self._solve(monkeypatch)
         assert solves and all(rel <= eta for eta, rel in solves)
-        # the floor 0.5 tol / res may lift eta above the cap, never below
+        # 0.5 tol / res may lift eta above the cap; nothing takes it below
         # ETA_MIN
         assert min(eta for eta, _ in solves) >= cs.ETA_MIN
 

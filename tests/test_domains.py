@@ -100,8 +100,9 @@ class TestFdDerivatives:
                         + grid.points.prod(axis=1))
         D1, D2 = box_derivative_operators(grid)
         rows = ~grid.boundary
-        grad, hess = fd_derivatives(
-            f, ([D[rows] for D in D1], {key: D[rows] for key, D in D2.items()}))
+        restricted = ([D[rows] for D in D1],
+                      {key: D[rows] for key, D in D2.items()})
+        grad, hess = fd_derivatives(f, restricted)
         full_grad, full_hess = fd_derivatives(f, (D1, D2))
         assert grad.shape == (rows.sum(), grid.m)
         assert np.array_equal(grad, full_grad[rows])
