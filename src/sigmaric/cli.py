@@ -204,6 +204,16 @@ def _eval_expression(expr, env):
         raise ConfigError(f"bad expression {expr!r}: {exc}") from exc
 
 
+def _finite(key, text):
+    """float(text) if that is finite, else a ConfigError naming key."""
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+
+
 def _make_grid(cfg, complete=False):
     m = cfg["dim"]
     domain = cfg["domain"]
@@ -214,10 +224,7 @@ def _make_grid(cfg, complete=False):
         if grading == "auto":
             grading = complete_grading(n) if complete else 1.0
         else:
-            try:
-                grading = float(grading)
-            except ValueError as exc:
-                raise ConfigError(f"bad grading {grading!r}") from exc
+            grading = _finite("grading", grading)
         r0 = 0.0 if domain == "ball" else cfg["r0"]
         cluster = cfg["cluster"]
         if complete and domain == "annulus" and cluster == "outer":
@@ -226,15 +233,13 @@ def _make_grid(cfg, complete=False):
                                 cluster=cluster)
     if domain == "box":
         counts = _parse_counts(cfg["grid"], expect=m)
-        lo = [float(x) for x in str(cfg["lo"]).replace(",", " ").split()] \
-            or [0.0]
-        hi = [float(x) for x in str(cfg["hi"]).replace(",", " ").split()] \
-            or [1.0]
-        if len(lo) == 1:
-            lo = lo * m
-        if len(hi) == 1:
-            hi = hi * m
-        return make_box_grid(lo, hi, counts)
+        corners = []
+        for key, default in (("lo", "0"), ("hi", "1")):
+            parts = str(cfg[key]).replace(",", " ").split() or [default]
+            if len(parts) == 1:
+                parts *= m
+            corners.append([_finite(key, p) for p in parts])
+        return make_box_grid(*corners, counts)
     raise ConfigError(f"unknown domain {cfg['domain']!r}")
 
 
@@ -379,31 +384,22 @@ def _state_result(state):
     }
 
 
-def run_solve_dirichlet(cfg):
-    grid = _make_grid(cfg)
+def run_solve_dirichlet(cfg, complete=False):
+    grid = _make_grid(cfg, complete)
     solve = SolveConfig(
         grid=grid,
         background=_make_background(cfg, grid),
         k=cfg["k"],
-        boundary_data=_boundary_data(cfg, grid),
+        boundary_data=0.0 if complete else _boundary_data(cfg, grid),
         rhs_scale=cfg["rhs_scale"],
         tol_residual=cfg["tol"],
     )
-    state = solve_dirichlet(solve)
+    state = (solve_complete if complete else solve_dirichlet)(solve)
     return _state_result(state), grid, state.u.values
 
 
 def run_solve_complete(cfg):
-    grid = _make_grid(cfg, complete=True)
-    solve = SolveConfig(
-        grid=grid,
-        background=_make_background(cfg, grid),
-        k=cfg["k"],
-        rhs_scale=cfg["rhs_scale"],
-        tol_residual=cfg["tol"],
-    )
-    state = solve_complete(solve)
-    return _state_result(state), grid, state.u.values
+    return run_solve_dirichlet(cfg, complete=True)
 
 
 def run_asymptotics(cfg):

@@ -12,17 +12,18 @@ Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
 graded radial grids (the axisymmetric reduction, second-order mapped
 stencils, sparse LU on Jacobians filled into the pattern of the
-parameter-space second-difference stencil) and uniform boxes (sparse
-tensor-product stencils on the PDE rows, sigma_j and the Newton transform
-from one Faddeev-LeVerrier pass).  Box Jacobians are never assembled:
-GMRES, preconditioned by the fast diagonalization method, sees only their
-products and solves each Newton step only to an Eisenstat-Walker forcing
-term (inexact Newton-Krylov, Knoll & Keyes 2004).  Boxes build W_t and
-the Jacobian coefficients with the batched kernel of conformal_ops, which
-the oracle tests check; radial grids reduce W_t to its two distinct
-eigenvalues.  Both take their anchor from conformal_ops and sigma_j from
-symfun.  The independent Chebyshev collocation oracle lives in
-radial_oracle and shares nothing with this module.
+parameter-space second-difference stencil) and uniform boxes (centered
+differences on slices of the node array at the PDE rows, sigma_j and the
+Newton transform from one Faddeev-LeVerrier pass).  Box Jacobians are
+never assembled: GMRES, preconditioned by the fast diagonalization
+method, sees only their products and solves each Newton step only to an
+Eisenstat-Walker forcing term (inexact Newton-Krylov, Knoll & Keyes
+2004).  Boxes build W_t and the Jacobian coefficients with the batched
+kernel of conformal_ops, which the oracle tests check; radial grids
+reduce W_t to its two distinct eigenvalues.  Both take their anchor
+from conformal_ops and sigma_j from symfun.  The independent Chebyshev
+collocation oracle lives in radial_oracle and shares nothing with this
+module.
 
 Each iterate is evaluated once: the residual returns what it built
 besides F, the line search returns that with the point it accepts, and
@@ -311,16 +312,17 @@ class _RadialDisc(_Disc):
 
 
 class _BoxDisc(_Disc):
-    """Tensor-product stencils on a uniform box with a flat background metric.
+    """Centered differences on a uniform box with a flat background metric.
 
     g = delta nodewise (rho may be nonzero; the prescale is its top
     eigenvalue); callers turn conformally flat backgrounds into flat solves
-    of v = u + phi exactly.  All is formed at the PDE rows only (boundary
-    rows are u - bc): W_t and the Jacobian's (c2, c1) by the conformal_ops
-    kernel, sigma_j(W_t) and the Newton transform T_{k-1}(W_t) by one
-    symfun.sigma_newton pass.  The build is (T_{k-1}, grad u).  The
-    Jacobian is matrix-free: the stencils D1[a] and D2[(a, b)], kept on
-    the PDE rows, applied with their row coefficients.
+    of v = u + phi exactly.  All is formed at the PDE rows only, the
+    interior nodes (boundary rows are u - bc): the derivatives by slices of
+    the node array (box_derivative_operators, built once), W_t and the
+    Jacobian's (c2, c1) by the conformal_ops kernel, sigma_j(W_t) and the
+    Newton transform T_{k-1}(W_t) by one symfun.sigma_newton pass.  The
+    build is (T_{k-1}, grad u).  The Jacobian is matrix-free: the same
+    derivatives of v, each times its coefficient.
     """
 
     def __init__(self, config):
@@ -336,14 +338,12 @@ class _BoxDisc(_Disc):
         self.bg_scale = max(1.0, float(np.linalg.eigvalsh(bg.rho).max()))
         self.h_min = float(grid.spacing.min())
         self.diameter = float(np.linalg.norm(grid.hi - grid.lo))
-        D1, D2 = box_derivative_operators(grid)
-        self.D1 = [D[self.pde] for D in D1]
-        self.D2 = {key: D[self.pde] for key, D in D2.items()}
+        self.derivatives = box_derivative_operators(grid)
         self.fdm = FastDiag(grid)
 
     def _sigma(self, u, t):
         grad, hess = fd_derivatives(ScalarField(self.grid, u),
-                                    (self.D1, self.D2))
+                                    self.derivatives)
         W = homotopy_tensor(grad, hess, self.rho, t, self.anchor,
                             self.bg_scale)
         esp, T = sigma_newton(W, self.k)
@@ -353,44 +353,47 @@ class _BoxDisc(_Disc):
 
     def _operator(self, built, w, c0):
         m, w = self.m, w[self.pde]
+        shape = self.fdm.lam.shape
         c2, c1 = linear_coefficients(*built, self.bg_scale)
-        terms = []
+        coefs = {}
         for a in range(m):
-            terms.append((c1[:, a] * w, self.D1[a]))
+            coefs[a,] = (c1[:, a] * w).reshape(shape)
             for b in range(a, m):
                 mult = 1.0 if a == b else 2.0
-                terms.append((mult * c2[:, a, b] * w, self.D2[(a, b)]))
+                coefs[a, b] = (mult * c2[:, a, b] * w).reshape(shape)
         # leading scale d = w tr(c2)/m is positive on PDE rows inside the
         # cone; the preconditioner divides those rows by it
         scale = w * np.trace(c2, axis1=1, axis2=2) / m
         shift = float(np.mean(c0[self.pde] / scale))
-        scale = scale.reshape(self.fdm.lam.shape)
-        return _BoxJacobian(c0, terms, scale, shift, self.fdm)
+        return _BoxJacobian(c0, coefs, self.derivatives, scale.reshape(shape),
+                            shift, self.fdm)
 
 
 @dataclass
 class _BoxJacobian:
     """Matrix-free box Jacobian with what its preconditioner needs.
 
-    J v = c0 v + sum_i c_i (A_i v) over terms = [(c_i, A_i)], the stencils
-    D1[a] and D2[(a, b)] on the PDE rows (the interior box) with their row
-    coefficients, the sum added into those rows once.  scale is the leading
-    scale d = w tr(c2)/m there, shaped like the box; shift the mean c0 / d.
+    J v = c0 v + sum_key coefs[key] d[key], d = derivatives(v) the first
+    and second differences of v at the PDE rows (the interior box), each
+    coefficient shaped like the interior and the sum added into those rows
+    once.  scale is the leading scale d = w tr(c2)/m there, shaped like
+    the interior; shift the mean c0 / d.
     """
 
     c0: np.ndarray
-    terms: list
+    coefs: dict
+    derivatives: object
     scale: np.ndarray
     shift: float
     fdm: FastDiag
 
     def matvec(self, v):
-        pde = np.zeros(self.scale.size)
-        for c, A in self.terms:
-            pde += c * (A @ v)
+        d = self.derivatives(v)
+        pde = np.zeros(self.scale.shape)
+        for key, c in self.coefs.items():
+            pde += np.multiply(c, d[key], out=d[key])
         out = self.c0 * v
-        inner = out.reshape(self.fdm.shape)[self.fdm.interior]
-        inner += pde.reshape(inner.shape)
+        out.reshape(self.fdm.shape)[self.fdm.interior] += pde
         return out
 
     def precondition(self, r):
@@ -486,6 +489,7 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
         norm_prev = norm
         J, built = disc.jacobian(u, fvals, built), None
         h = _PrecondSolver().solve(J, -F, eta)
+        del J  # its coefficients need not outlive the line search
         s = 1.0
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is

@@ -2,11 +2,12 @@
 
 Two grid families are supported: radial grids on balls/annuli (stored as a
 smooth mapping of a uniform parameter, so graded grids keep second-order
-stencils second order) and uniform n-dimensional boxes.  Backgrounds are
-flat or radial warped products on annuli; conformally flat ones are
-reduced by the callers to flat solves of u + phi, and everything else is
-out of scope.  FastDiag, the fast Dirichlet Poisson solver on box
-interiors, serves the box Newton preconditioner and the surface solve.
+stencils second order) and uniform n-dimensional boxes, differentiated at
+interior nodes only, on slices of the node array.  Backgrounds are flat
+or radial warped products on annuli; conformally flat ones are reduced
+by the callers to flat solves of u + phi, and everything else is out of
+scope.  FastDiag, the fast Dirichlet Poisson solver on box interiors,
+serves the box Newton preconditioner and the surface solve.
 """
 
 from dataclasses import dataclass, field
@@ -96,7 +97,7 @@ def make_radial_grid(r0, r1, n, grading=1.0, m=3, cluster="outer"):
         raise ValueError(
             "need at least 4 nodes: the one-sided second-difference end "
             "rows span 4")
-    if grading < 1.0:
+    if not grading >= 1.0:
         raise ValueError("grading must be >= 1")
     xi = np.linspace(0.0, 1.0, n)
     L = r1 - r0
@@ -155,19 +156,16 @@ def make_box_grid(lo, hi, counts):
         raise ValueError(
             "need at least 4 nodes per axis: the one-sided second-difference "
             "end rows span 4")
-    if np.any(hi <= lo):
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box corners lo and hi must be finite")
+    if not np.all(lo < hi):
         raise ValueError("need lo < hi componentwise")
-    axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([x.ravel() for x in mesh], axis=1)
-    idx = np.stack(
-        [x.ravel() for x in np.meshgrid(*[np.arange(c) for c in counts],
-                                        indexing="ij")],
-        axis=1,
-    )
-    boundary = np.any((idx == 0) | (idx == counts - 1), axis=1)
+    mesh = np.meshgrid(*map(np.linspace, lo, hi, counts), indexing="ij")
+    points = np.stack(mesh, axis=-1).reshape(-1, m)
+    # C order; the interior nodes are the slice [1:-1] of every axis
+    boundary = np.pad(np.zeros(counts - 2, bool), 1, constant_values=True)
     spacing = (hi - lo) / (counts - 1)
-    return BoxGrid(m, lo, hi, counts, points, boundary, spacing)
+    return BoxGrid(m, lo, hi, counts, points, boundary.ravel(), spacing)
 
 
 @dataclass
@@ -208,18 +206,6 @@ def uniform_d2(n, h):
     return D.tocsr()
 
 
-def _axis_operator(grid, op1d, axis):
-    """Lift a 1-d operator along one axis of the tensor grid."""
-    mats = [
-        op1d if a == axis else sp.identity(grid.counts[a])
-        for a in range(grid.m)
-    ]
-    out = mats[0]
-    for M in mats[1:]:
-        out = sp.kron(out, M, format="csr")
-    return out
-
-
 class FastDiag:
     """Fast diagonalization (Lynch, Rice & Thomas 1964) of the Dirichlet
     second-difference operator on the interior nodes of a box grid.
@@ -254,46 +240,56 @@ class FastDiag:
 
 
 def box_derivative_operators(grid):
-    """Sparse gradient and Hessian operators for a box grid.
+    """Centered second-order differences at the interior nodes of a box.
 
-    Returns (D1, D2) with D1[a] the first derivative along axis a and
-    D2[(a, b)] for a <= b the (mixed) second derivative; mixed partials are
-    nested first-derivative products.
+    Returns derivatives(v), which maps nodal values in C order to a dict
+    of interior-shaped arrays, d[a,] = d_a v and d[a, b] = d_a d_b v for
+    a <= b (mixed ones nested: d_a of d_b v), read off shifted slices of
+    v.reshape(counts).
     """
-    n, h = grid.counts, grid.spacing
-    D1 = [
-        _axis_operator(grid, uniform_d1(n[a], h[a]), a) for a in range(grid.m)
-    ]
-    D2 = {}
-    for a in range(grid.m):
-        D2[(a, a)] = _axis_operator(grid, uniform_d2(n[a], h[a]), a)
-        for b in range(a + 1, grid.m):
-            D2[(a, b)] = (D1[a] @ D1[b]).tocsr()
-    return D1, D2
+    m, shape = grid.m, tuple(grid.counts)
+    c1, c2 = 0.5 / grid.spacing, 1.0 / grid.spacing**2
+    up, down, whole = slice(2, None), slice(None, -2), slice(None)
+
+    def at(axes, rest=slice(1, -1)):
+        """Index taking axes[a] along each listed axis a, rest elsewhere."""
+        return tuple(axes.get(a, rest) for a in range(m))
+
+    def derivatives(v):
+        v = v.reshape(shape)
+        twice = 2.0 * v[at({})]
+        d = {}
+        for b in range(m):
+            d[b,] = c1[b] * (v[at({b: up})] - v[at({b: down})])
+            d[b, b] = c2[b] * (v[at({b: up})] - twice + v[at({b: down})])
+            if b:
+                # d_b v on every node of the axes a < b, which d_a shifts
+                wide = c1[b] * (v[at({b: up}, whole)]
+                                - v[at({b: down}, whole)])
+                for a in range(b):
+                    d[a, b] = c1[a] * (wide[at({a: up, b: whole})]
+                                       - wide[at({a: down, b: whole})])
+        return d
+
+    return derivatives
 
 
 def fd_derivatives(f, operators=None):
-    """Gradient and Hessian fields of a ScalarField on a box grid.
-
-    Second-order centered stencils at interior nodes, second-order one-sided
-    stencils at the boundary, mixed partials by nested centered differences;
-    operators restricted to some rows give the derivatives at those rows.
-    """
+    """Gradient (n_inner, m) and Hessian (n_inner, m, m) of a ScalarField
+    on a box grid at its interior nodes, in C order, from operators =
+    box_derivative_operators(grid), built when not given."""
     grid = f.grid
     if not isinstance(grid, BoxGrid):
         raise TypeError("fd_derivatives expects a field on a BoxGrid")
     if operators is None:
         operators = box_derivative_operators(grid)
-    D1, D2 = operators
-    u = f.values
-    grad = np.stack([D1[a] @ u for a in range(grid.m)], axis=1)
-    hess = np.empty((grad.shape[0], grid.m, grid.m))
-    for a in range(grid.m):
-        hess[:, a, a] = D2[(a, a)] @ u
-        for b in range(a + 1, grid.m):
-            hab = D2[(a, b)] @ u
-            hess[:, a, b] = hab
-            hess[:, b, a] = hab
+    d = operators(f.values)
+    m = grid.m
+    grad = np.stack([d[a,].ravel() for a in range(m)], axis=1)
+    hess = np.empty((grad.shape[0], m, m))
+    for a in range(m):
+        for b in range(a, m):
+            hess[:, a, b] = hess[:, b, a] = d[a, b].ravel()
     return grad, hess
 
 

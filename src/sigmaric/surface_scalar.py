@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
-from .domains import BoxGrid, FastDiag, ScalarField, box_derivative_operators
+from .domains import BoxGrid, FastDiag, ScalarField, uniform_d2
 
 __all__ = [
     "PolarDiskGrid",
@@ -96,14 +96,15 @@ def laplacian_matrix(grid):
 
     Polar grids use u_rr + u_r / r + u_tt / r^2 with periodic angle and
     the angular-mean axis closure Delta u(0) = 4 (mean ring 1 - u(0)) / h^2.
-    Box grids use the 5-point stencil from the shared derivative operators.
+    Box grids use the 5-point stencil, the Kronecker sum of the 1-d
+    second differences of the two axes (C order: axis 1 varies fastest).
     """
     if isinstance(grid, BoxGrid):
         if grid.m != 2:
             raise ValueError("surface solves need a 2-D grid")
-        _, d2 = box_derivative_operators(grid)
+        d2 = [uniform_d2(n, h) for n, h in zip(grid.counts, grid.spacing)]
         edge = grid.boundary.astype(float)
-        lap = sp.diags(1.0 - edge) @ (d2[(0, 0)] + d2[(1, 1)]) + sp.diags(edge)
+        lap = sp.diags(1.0 - edge) @ sp.kronsum(d2[1], d2[0]) + sp.diags(edge)
         lap.eliminate_zeros()
         return lap.tocsc()
     n_r, n_t = grid.n_r, grid.n_t

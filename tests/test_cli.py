@@ -296,13 +296,26 @@ class TestExitCodes:
         assert not out.exists()
 
     # nan and inf parse as floats; every command rejects them for every
-    # float key, whether or not it reads the key
+    # float key, whether or not it reads the key, and the box corners and
+    # the grading, parsed from strings where a grid is made, by name
     @pytest.mark.parametrize("argv, key", [
         (["surface", "--domain", "box", "--grid", "9,9", "--tol", "nan"],
          "tol"),
         (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
           "--r0", "inf"], "r0"),
-    ], ids=["surface-tol-nan", "box-r0-inf"])
+        (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
+          "--lo", "nan"], "lo"),
+        (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
+          "--hi", "inf"], "hi"),
+        (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
+          "--hi", "1,x,1"], "hi"),
+        (["solve-dirichlet", "--domain", "ball", "--dim", "3", "--grid", "33",
+          "--grading", "nan"], "grading"),
+        (["solve-complete", "--domain", "annulus", "--dim", "3", "--grid",
+          "33", "--grading", "inf"], "grading"),
+    ], ids=["surface-tol-nan", "box-r0-inf", "box-lo-nan", "box-hi-inf",
+            "box-hi-not-a-number", "ball-grading-nan",
+            "annulus-grading-inf"])
     def test_non_finite_float_rejected(self, argv, key, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == 2

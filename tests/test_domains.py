@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import ricci_fd
 from sigmaric.domains import (
@@ -7,10 +8,10 @@ from sigmaric.domains import (
     ScalarField,
     background_ricci,
     boundary_distance,
-    box_derivative_operators,
     fd_derivatives,
     make_box_grid,
     make_radial_grid,
+    uniform_d1,
     uniform_d2,
 )
 
@@ -44,6 +45,23 @@ class TestGrids:
         with pytest.raises(ValueError):
             make_box_grid([0, 0], [1, 1], [2, 5])
 
+    # comparisons with nan are false, so the checks are written to fail
+    # unless the good case holds
+    @pytest.mark.parametrize("lo, hi, match", [
+        ([0, np.nan], [1, 1], "finite"),
+        ([0, 0], [1, np.inf], "finite"),
+        ([0, -np.inf], [1, 1], "finite"),
+        ([0, 1], [1, 1], "lo < hi"),
+    ], ids=["lo-nan", "hi-inf", "lo-minus-inf", "flat"])
+    def test_bad_box_corners(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            make_box_grid(lo, hi, [5, 5])
+
+    @pytest.mark.parametrize("grading", [np.nan, 0.5])
+    def test_bad_grading(self, grading):
+        with pytest.raises(ValueError, match="grading must be >= 1"):
+            make_radial_grid(0.0, 1.0, 17, grading=grading)
+
     def test_four_nodes_minimum(self):
         # the one-sided second-difference end rows span 4 nodes
         with pytest.raises(ValueError, match="at least 4 nodes"):
@@ -53,19 +71,23 @@ class TestGrids:
         grid = make_box_grid([0, 0], [1, 1], [4, 4])
         u = ScalarField(grid, grid.points[:, 0] ** 3)
         _, hess = fd_derivatives(u)
-        assert np.allclose(hess[:, 0, 0], 6.0 * grid.points[:, 0])
+        x = grid.points[~grid.boundary, 0]
+        assert np.allclose(hess[:, 0, 0], 6.0 * x)
         assert make_radial_grid(0.5, 1.0, 4).n == 4
 
 
 class TestFdDerivatives:
+    # derivatives are taken at the interior nodes, in C order
     def test_bilinear_exact(self):
         grid = make_box_grid([0, 0], [1, 1], [9, 9])
         f = ScalarField(grid, grid.points[:, 0] * grid.points[:, 1])
         grad, hess = fd_derivatives(f)
+        inner = grid.points[~grid.boundary]
+        assert grad.shape == (inner.shape[0], 2)
         assert np.allclose(hess[:, 0, 1], 1.0, atol=1e-12)
         assert np.allclose(hess[:, 1, 0], 1.0, atol=1e-12)
         assert np.allclose(hess[:, 0, 0], 0.0, atol=1e-12)
-        assert np.allclose(grad[:, 0], grid.points[:, 1], atol=1e-12)
+        assert np.allclose(grad[:, 0], inner[:, 1], atol=1e-12)
 
     def test_quadratic_laplacian_exact(self):
         m = 3
@@ -83,30 +105,44 @@ class TestFdDerivatives:
             f = ScalarField(grid, vals)
             _, hess = fd_derivatives(f)
             exact = np.empty_like(hess)
-            s = np.sin(grid.points)
-            c = np.cos(grid.points)
+            s = np.sin(grid.points[~grid.boundary])
+            c = np.cos(grid.points[~grid.boundary])
             exact[:, 0, 0] = -s[:, 0] * s[:, 1]
             exact[:, 1, 1] = -s[:, 0] * s[:, 1]
             exact[:, 0, 1] = exact[:, 1, 0] = c[:, 0] * c[:, 1]
             errs.append(np.abs(hess - exact).max())
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
-    # operators restricted to the interior rows, as the box solver keeps
-    # them, give the full-row derivatives at those rows, bit for bit
+    # the slice stencils against the 1-d operators lifted to the box by
+    # Kronecker products, the mixed ones as products D1[a] D1[b], at the
+    # interior rows
     @pytest.mark.parametrize("lo, hi, counts", _BOXES, ids=_BOX_IDS)
-    def test_restricted_rows(self, lo, hi, counts):
+    def test_matches_kronecker_lifts(self, lo, hi, counts):
         grid = make_box_grid(lo, hi, counts)
         f = ScalarField(grid, np.sin(grid.points @ np.arange(1, grid.m + 1))
                         + grid.points.prod(axis=1))
-        D1, D2 = box_derivative_operators(grid)
+
+        def lift(op, axis):
+            out = sp.identity(1)
+            for a, n in enumerate(counts):
+                out = sp.kron(out, op if a == axis else sp.identity(n))
+            return out.tocsr()
+
+        def close(x, D):
+            ref = (D @ f.values)[rows]
+            return np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        D1 = [lift(uniform_d1(n, h), a)
+              for a, (n, h) in enumerate(zip(counts, grid.spacing))]
         rows = ~grid.boundary
-        restricted = ([D[rows] for D in D1],
-                      {key: D[rows] for key, D in D2.items()})
-        grad, hess = fd_derivatives(f, restricted)
-        full_grad, full_hess = fd_derivatives(f, (D1, D2))
+        grad, hess = fd_derivatives(f)
         assert grad.shape == (rows.sum(), grid.m)
-        assert np.array_equal(grad, full_grad[rows])
-        assert np.array_equal(hess, full_hess[rows])
+        for a, (n, h) in enumerate(zip(counts, grid.spacing)):
+            assert close(grad[:, a], D1[a])
+            assert close(hess[:, a, a], lift(uniform_d2(n, h), a))
+            for b in range(a + 1, grid.m):
+                assert close(hess[:, a, b], D1[a] @ D1[b])
+                assert np.array_equal(hess[:, a, b], hess[:, b, a])
 
 
 class TestFastDiag:

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from oracles import ricci_fd
 from sigmaric import surface_scalar
-from sigmaric.domains import ScalarField, fd_derivatives, make_box_grid
+from sigmaric.domains import ScalarField, make_box_grid
 from sigmaric.surface_scalar import (
     PolarDiskGrid,
     SurfaceProblem,
