@@ -19,8 +19,10 @@ never assembled: GMRES, preconditioned by the fast diagonalization
 method, sees only their products and solves each Newton step only to an
 Eisenstat-Walker forcing term (inexact Newton-Krylov, Knoll & Keyes
 2004).  Boxes build W_t and the Jacobian coefficients with the batched
-kernel of conformal_ops, which the oracle tests check; radial grids
-reduce W_t to its two distinct eigenvalues.  Both take their anchor
+kernel of conformal_ops, which the oracle tests check, component-major
+(matrix indices first, interior axes last) and straight off the
+derivative slices; radial grids reduce W_t to its two distinct
+eigenvalues.  Both take their anchor
 from conformal_ops and sigma_j from symfun.  The independent Chebyshev
 collocation oracle lives in radial_oracle and shares nothing with this
 module.
@@ -48,7 +50,6 @@ from .domains import (
     ScalarField,
     boundary_distance,
     box_derivative_operators,
-    fd_derivatives,
     uniform_d1,
     uniform_d2,
 )
@@ -164,11 +165,12 @@ class _Disc:
 
     PDE rows hold (sigma_k(W_t) - rhs) / (1 + rhs), rhs = rhs_scale f
     e^{2ku}, and boundary rows u - bc; the cone margin is min sigma_j
-    (1 <= j <= k) over PDE rows.  residual returns what _sigma(u, t)
-    built besides sigma_0..sigma_k, and jacobian takes that build back:
-    the subclass's _operator weights its rows by w = 1/(1 + rhs) at PDE
-    rows and adds the zero-order term c0 = bmask - 2k rhs w.  A subclass
-    also sets bg_scale (c >= 1 with c g >= rho), h_min and diameter.
+    (1 <= j <= k) over PDE rows.  The subclass's _sigma(u, t) returns
+    sigma_k at every row, that margin and what it built; residual returns
+    the build, and jacobian takes it back: the subclass's _operator
+    weights its rows by w = 1/(1 + rhs) at PDE rows and adds the
+    zero-order term c0 = bmask - 2k rhs w.  A subclass also sets bg_scale
+    (c >= 1 with c g >= rho), h_min and diameter.
     """
 
     def __init__(self, config):
@@ -184,10 +186,9 @@ class _Disc:
         return self.rhs_scale * fvals * np.exp(2.0 * self.k * u)
 
     def residual(self, u, t, bc, fvals):
-        esp, built = self._sigma(u, t)
-        margin = esp[self.pde, 1 : self.k + 1].min()
+        sigma_k, margin, built = self._sigma(u, t)
         rhs = self._rhs(u, fvals)
-        F = (esp[:, self.k] - rhs) / (1.0 + rhs)
+        F = (sigma_k - rhs) / (1.0 + rhs)
         F[self.bmask] = u[self.bmask] - bc[self.bmask]
         return F, margin, built
 
@@ -271,7 +272,8 @@ class _RadialDisc(_Disc):
             + (self.m - 2) * du**2
         ) / c
         lam = np.stack([a] + [b] * (self.m - 1), axis=-1)
-        return sigma_all_batch(lam), (a, b, du)
+        esp = sigma_all_batch(lam)
+        return esp[:, self.k], esp[self.pde, 1 : self.k + 1].min(), (a, b, du)
 
     def residual(self, u, t, bc, fvals):
         F, margin, built = super().residual(u, t, bc, fvals)
@@ -317,12 +319,14 @@ class _BoxDisc(_Disc):
     g = delta nodewise (rho may be nonzero; the prescale is its top
     eigenvalue); callers turn conformally flat backgrounds into flat solves
     of v = u + phi exactly.  All is formed at the PDE rows only, the
-    interior nodes (boundary rows are u - bc): the derivatives by slices of
-    the node array (box_derivative_operators, built once), W_t and the
-    Jacobian's (c2, c1) by the conformal_ops kernel, sigma_j(W_t) and the
-    Newton transform T_{k-1}(W_t) by one symfun.sigma_newton pass.  The
-    build is (T_{k-1}, grad u).  The Jacobian is matrix-free: the same
-    derivatives of v, each times its coefficient.
+    interior nodes (boundary rows are u - bc), component-major: matrix
+    indices first, interior axes last.  The derivatives come as slices of
+    the node array (box_derivative_operators, built once), which the
+    conformal_ops kernel reads as they are for W_t and the Jacobian's
+    (c2, c1); sigma_j(W_t) and the Newton transform T_{k-1}(W_t) come from
+    one symfun.sigma_newton pass.  rho is kept, once, only when it is not
+    zero.  The build is (T_{k-1}, grad u).  The Jacobian is matrix-free:
+    the same derivatives of v, each times its coefficient.
     """
 
     def __init__(self, config):
@@ -334,39 +338,40 @@ class _BoxDisc(_Disc):
                 "backgrounds to flat solves of u + phi first"
             )
         super().__init__(config)
-        self.rho = bg.rho[self.pde]
-        self.bg_scale = max(1.0, float(np.linalg.eigvalsh(bg.rho).max()))
+        self.fdm = FastDiag(grid)
+        self.rho, self.bg_scale = None, 1.0
+        if bg.rho.any():
+            self.rho = np.moveaxis(bg.rho[self.pde], 0, -1).reshape(
+                (grid.m, grid.m) + self.fdm.lam.shape)
+            self.bg_scale = max(1.0, float(np.linalg.eigvalsh(bg.rho).max()))
         self.h_min = float(grid.spacing.min())
         self.diameter = float(np.linalg.norm(grid.hi - grid.lo))
         self.derivatives = box_derivative_operators(grid)
-        self.fdm = FastDiag(grid)
 
     def _sigma(self, u, t):
-        grad, hess = fd_derivatives(ScalarField(self.grid, u),
-                                    self.derivatives)
-        W = homotopy_tensor(grad, hess, self.rho, t, self.anchor,
-                            self.bg_scale)
+        d = self.derivatives(u)
+        grad = [d[a,] for a in range(self.m)]
+        W = homotopy_tensor(grad, d, self.rho, t, self.anchor, self.bg_scale)
         esp, T = sigma_newton(W, self.k)
-        full = np.zeros((self.grid.n, self.k + 1))  # F is u - bc there
-        full[self.pde] = esp
-        return full, (T, grad)
+        sigma_k = np.zeros(self.fdm.shape)  # F is u - bc there
+        sigma_k[self.fdm.interior] = esp[self.k]
+        return sigma_k.ravel(), esp[1:].min(), (T, grad)
 
     def _operator(self, built, w, c0):
-        m, w = self.m, w[self.pde]
-        shape = self.fdm.lam.shape
+        m, inner = self.m, self.fdm.interior
+        w = w.reshape(self.fdm.shape)[inner]
         c2, c1 = linear_coefficients(*built, self.bg_scale)
         coefs = {}
         for a in range(m):
-            coefs[a,] = (c1[:, a] * w).reshape(shape)
+            coefs[a,] = c1[a] * w
             for b in range(a, m):
-                mult = 1.0 if a == b else 2.0
-                coefs[a, b] = (mult * c2[:, a, b] * w).reshape(shape)
+                coefs[a, b] = (1.0 if a == b else 2.0) * c2[a, b] * w
         # leading scale d = w tr(c2)/m is positive on PDE rows inside the
         # cone; the preconditioner divides those rows by it
-        scale = w * np.trace(c2, axis1=1, axis2=2) / m
-        shift = float(np.mean(c0[self.pde] / scale))
-        return _BoxJacobian(c0, coefs, self.derivatives, scale.reshape(shape),
-                            shift, self.fdm)
+        scale = w * np.trace(c2) / m
+        shift = float(np.mean(c0.reshape(self.fdm.shape)[inner] / scale))
+        return _BoxJacobian(c0, coefs, self.derivatives, scale, shift,
+                            self.fdm)
 
 
 @dataclass

@@ -25,7 +25,7 @@ __all__ = [
     "make_box_grid",
     "uniform_d1",
     "uniform_d2",
-    "fd_derivatives",
+    "box_derivative_operators",
     "FastDiag",
     "background_ricci",
     "boundary_distance",
@@ -154,8 +154,9 @@ def make_box_grid(lo, hi, counts):
         raise ValueError("lo, hi, counts must have equal length")
     if np.any(counts < 4):
         raise ValueError(
-            "need at least 4 nodes per axis: the one-sided second-difference "
-            "end rows span 4")
+            "need at least 4 nodes per axis: the box Poisson solver and "
+            "surface Laplacian cut their interior blocks from uniform_d2, "
+            "whose end rows span 4")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("box corners lo and hi must be finite")
     if not np.all(lo < hi):
@@ -245,7 +246,7 @@ def box_derivative_operators(grid):
     Returns derivatives(v), which maps nodal values in C order to a dict
     of interior-shaped arrays, d[a,] = d_a v and d[a, b] = d_a d_b v for
     a <= b (mixed ones nested: d_a of d_b v), read off shifted slices of
-    v.reshape(counts).
+    v.reshape(counts).  The slices are built once, here.
     """
     m, shape = grid.m, tuple(grid.counts)
     c1, c2 = 0.5 / grid.spacing, 1.0 / grid.spacing**2
@@ -255,42 +256,28 @@ def box_derivative_operators(grid):
         """Index taking axes[a] along each listed axis a, rest elsewhere."""
         return tuple(axes.get(a, rest) for a in range(m))
 
+    centre = at({})
+    shifts = [(at({b: up}), at({b: down})) for b in range(m)]
+    # d_b v on every node of the axes a < b, which d_a then shifts
+    wide = [(at({b: up}, whole), at({b: down}, whole)) for b in range(m)]
+    mixed = {(a, b): (at({a: up, b: whole}), at({a: down, b: whole}))
+             for b in range(m) for a in range(b)}
+
     def derivatives(v):
         v = v.reshape(shape)
-        twice = 2.0 * v[at({})]
+        twice = 2.0 * v[centre]
         d = {}
-        for b in range(m):
-            d[b,] = c1[b] * (v[at({b: up})] - v[at({b: down})])
-            d[b, b] = c2[b] * (v[at({b: up})] - twice + v[at({b: down})])
+        for b, (hi, lo) in enumerate(shifts):
+            d[b,] = c1[b] * (v[hi] - v[lo])
+            d[b, b] = c2[b] * (v[hi] - twice + v[lo])
             if b:
-                # d_b v on every node of the axes a < b, which d_a shifts
-                wide = c1[b] * (v[at({b: up}, whole)]
-                                - v[at({b: down}, whole)])
+                d_b = c1[b] * (v[wide[b][0]] - v[wide[b][1]])
                 for a in range(b):
-                    d[a, b] = c1[a] * (wide[at({a: up, b: whole})]
-                                       - wide[at({a: down, b: whole})])
+                    hi_a, lo_a = mixed[a, b]
+                    d[a, b] = c1[a] * (d_b[hi_a] - d_b[lo_a])
         return d
 
     return derivatives
-
-
-def fd_derivatives(f, operators=None):
-    """Gradient (n_inner, m) and Hessian (n_inner, m, m) of a ScalarField
-    on a box grid at its interior nodes, in C order, from operators =
-    box_derivative_operators(grid), built when not given."""
-    grid = f.grid
-    if not isinstance(grid, BoxGrid):
-        raise TypeError("fd_derivatives expects a field on a BoxGrid")
-    if operators is None:
-        operators = box_derivative_operators(grid)
-    d = operators(f.values)
-    m = grid.m
-    grad = np.stack([d[a,].ravel() for a in range(m)], axis=1)
-    hess = np.empty((grad.shape[0], m, m))
-    for a in range(m):
-        for b in range(a, m):
-            hess[:, a, b] = hess[:, b, a] = d[a, b].ravel()
-    return grad, hess
 
 
 @dataclass

@@ -70,33 +70,35 @@ def sigma_k(lam, k):
 
 def sigma_newton(W, k):
     """sigma_0..sigma_k and the Newton transform T_{k-1} of each matrix in
-    a stack, in one Faddeev-LeVerrier pass:
+    a component-major stack, in one Faddeev-LeVerrier pass:
 
         T_0 = I,  sigma_j = tr(T_{j-1} W) / j,  T_j = sigma_j I - T_{j-1} W.
 
-    W is an (..., m, m) array and 1 <= k <= m; returns (e, T) with e the
-    (..., k+1) array of sigma_0..sigma_k and T = T_{k-1}, (..., m, m).
-    The recursion is basis free: no eigendecomposition, hence robust near
-    repeated spectra, with an error of order eps |W|^j per sigma_j.
-    tr(T_{k-1} W) = k sigma_k, and T_{k-1} supplies the elliptic
-    coefficients of the linearized sigma_k operator; T_0 is a read-only
-    broadcast of I.
+    W is an (m, m, *nodes) array, matrix indices first, and 1 <= k <= m;
+    returns (e, T) with e the (k+1, *nodes) array of sigma_0..sigma_k and
+    T = T_{k-1}, (m, m, *nodes).  The recursion is basis free: no
+    eigendecomposition, hence robust near repeated spectra, with an error
+    of order eps |W|^j per sigma_j.  tr(T_{k-1} W) = k sigma_k, and
+    T_{k-1} supplies the elliptic coefficients of the linearized sigma_k
+    operator; T_0 is a read-only broadcast of I.
     """
     W = np.asarray(W, dtype=float)
-    m = W.shape[-1]
-    if W.shape[-2:] != (m, m):
+    m = len(W)
+    if W.shape[:2] != (m, m):
         raise ValueError("W must be a stack of square matrices")
     if not 1 <= k <= m:
         raise ValueError(f"order k={k} out of range 1..{m}")
-    e = np.empty(W.shape[:-2] + (k + 1,))
-    e[..., 0] = 1.0
-    e[..., 1] = np.trace(W, axis1=-2, axis2=-1)
-    eye = np.eye(m)
-    T = np.broadcast_to(eye, W.shape)
+    e = np.empty((k + 1,) + W.shape[2:])
+    e[0] = 1.0
+    e[1] = np.trace(W)
+    T = np.broadcast_to(np.eye(m).reshape((m, m) + (1,) * (W.ndim - 2)),
+                        W.shape)
     for j in range(2, k + 1):
-        T = e[..., j - 1, None, None] * eye - (W if j == 2 else T @ W)
-        # tr(T_{j-1} W) without forming the product
-        e[..., j] = np.einsum("...ab,...ba->...", T, W) / j
+        T = -(W if j == 2 else np.einsum("ac...,cb...->ab...", T, W))
+        for a in range(m):
+            T[a, a] += e[j - 1]
+        # tr(T_{j-1} W) from the diagonal of the product alone
+        e[j] = np.einsum("ac...,ca...->a...", T, W).sum(axis=0) / j
     return e, T
 
 

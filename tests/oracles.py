@@ -3,13 +3,23 @@
 These deliberately avoid the code paths they check: Ricci tensors come from
 finite differences of Christoffel symbols of the full metric, Jacobians from
 centered differences of the nonlinear residual, with sigma_k from
-eigenvalues where the solvers use trace identities.
+eigenvalues where the solvers use trace identities.  Stacks are
+component-major, as in conformal_ops: grad is (m, *nodes), hess and rho
+(m, m, *nodes).
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from sigmaric.conformal_ops import anchor, conformal_tensor, homotopy_tensor
+from sigmaric.domains import uniform_d1, uniform_d2
 from sigmaric.symfun import sigma_all
+
+
+def eigenvalues(W):
+    """Ascending eigenvalues of each matrix of a component-major
+    (m, m, *nodes) stack, as a (*nodes, m) array."""
+    return np.linalg.eigvalsh(np.moveaxis(W, (0, 1), (-2, -1)))
 
 
 def ricci_fd(metric, x, h=1e-4):
@@ -66,9 +76,9 @@ def kernel_residual(grad, hess, rho, u, k, t=1.0, rhs_scale=1.0):
     W_t is the conformal_ops homotopy tensor at scale 1; sigma_k comes from
     its eigenvalues, not from the trace identities the solvers use.
     """
-    m = grad.shape[1]
+    m = len(grad)
     W = homotopy_tensor(grad, hess, rho, t, anchor(m, k, rhs_scale), 1.0)
-    esp = sigma_all(np.linalg.eigvalsh(W))
+    esp = sigma_all(eigenvalues(W))
     return esp[:, k] - rhs_scale * np.exp(2.0 * k * u)
 
 
@@ -76,7 +86,8 @@ def jacobian_fd(grad, hess, rho, u, k, t=1.0, rhs_scale=1.0, eps=1e-6):
     """Directional-derivative check data for the residual linearization.
 
     Returns a callable (hess_h, grad_h, h) -> centered finite difference of
-    kernel_residual at the node stack in that direction, one per node.
+    kernel_residual at the node stack in that direction, one per node; the
+    direction is shaped like (hess, grad, u).
     """
 
     def directional(hess_h, grad_h, h):
@@ -95,20 +106,51 @@ def manufactured_box(grid, k):
     """A manufactured solution on a 3-d box grid.
 
     Returns (u, grad u, hess u, f) for
-    u = 0.2 |x - 0.4|^2 + 0.05 sin(2 x0 + x1 - x2), with exact derivatives,
-    and the rhs factor f = sigma_k(W) e^{-2ku}, W the conformal tensor of
-    u, for which u solves the t = 1 equation on a flat background.
+    u = 0.2 |x - 0.4|^2 + 0.05 sin(2 x0 + x1 - x2), with exact derivatives
+    (component-major), and the rhs factor f = sigma_k(W) e^{-2ku}, W the
+    conformal tensor of u, for which u solves the t = 1 equation on a flat
+    background.
     """
     pts = grid.points
     phase = 2 * pts[:, 0] + pts[:, 1] - pts[:, 2]
     u = 0.2 * np.sum((pts - 0.4) ** 2, axis=1) + 0.05 * np.sin(phase)
-    grad = 0.4 * (pts - 0.4)
     c = np.array([2.0, 1.0, -1.0])
-    grad += 0.05 * np.cos(phase)[:, None] * c
-    hess = -0.05 * np.sin(phase)[:, None, None] * np.outer(c, c)
-    hess = hess + 0.4 * np.eye(3)
-    esp = sigma_all(np.linalg.eigvalsh(conformal_tensor(grad, hess)))
+    grad = 0.4 * (pts.T - 0.4) + 0.05 * np.cos(phase) * c[:, None]
+    hess = -0.05 * np.sin(phase) * np.outer(c, c)[..., None]
+    hess = hess + 0.4 * np.eye(3)[..., None]
+    esp = sigma_all(eigenvalues(conformal_tensor(grad, hess)))
     return u, grad, hess, esp[:, k] * np.exp(-2 * k * u)
+
+
+def box_homotopy_tensor(grid, u, rho, t, lam, scale):
+    """W_t at the interior nodes of a box, node-major (n_inner, m, m), with
+    no solver code: the derivatives from the 1-d stencils of domains lifted
+    to the box by Kronecker products (mixed ones as products D1[a] D1[b]),
+    the tensor from the formula of conformal_ops on whole node stacks.
+    rho is node-major (n, m, m) on every node, lam the anchor."""
+    m, counts = grid.m, grid.counts
+
+    def lift(op, axis):
+        out = sp.identity(1)
+        for a, n in enumerate(counts):
+            out = sp.kron(out, op if a == axis else sp.identity(n))
+        return out.tocsr()
+
+    rows = ~grid.boundary
+    D1 = [lift(uniform_d1(n, h), a)
+          for a, (n, h) in enumerate(zip(counts, grid.spacing))]
+    grad = np.stack([(D @ u)[rows] for D in D1], axis=1)
+    hess = np.empty((grad.shape[0], m, m))
+    for a, (n, h) in enumerate(zip(counts, grid.spacing)):
+        hess[:, a, a] = (lift(uniform_d2(n, h), a) @ u)[rows]
+        for b in range(a + 1, m):
+            hess[:, a, b] = hess[:, b, a] = (D1[a] @ (D1[b] @ u))[rows]
+    eye = np.eye(m)
+    lap = np.trace(hess, axis1=1, axis2=2)
+    g2 = np.sum(grad * grad, axis=1)
+    conf = ((m - 2) * (hess - np.einsum("ia,ib->iab", grad, grad))
+            + ((m - 2) * g2 + lap)[:, None, None] * eye)
+    return (1.0 - t) * lam * eye + (t * rho[rows] + conf) / scale
 
 
 def background_prescale(g, rho):

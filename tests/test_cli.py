@@ -272,7 +272,8 @@ class TestExitCodes:
         (["solve-complete", "--domain", "ball", "--grid", "3"], False),
     ], ids=["surface-box", "box", "box-one-axis", "annulus", "ball"])
     def test_too_few_nodes(self, argv, per_axis, tmp_path, capsys):
-        # the one-sided second-difference end rows need 4 nodes
+        # uniform_d2, whose end rows span 4 nodes, gives the radial
+        # stencils and the interior blocks of box solves
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -3,7 +3,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
-from oracles import jacobian_fd, kernel_residual, ricci_fd
+from oracles import eigenvalues, jacobian_fd, kernel_residual, ricci_fd
 from sigmaric.conformal_ops import (
     anchor,
     conformal_tensor,
@@ -15,9 +15,10 @@ from sigmaric.symfun import sigma_all, sigma_newton
 
 
 def zero_state(m, rho=None):
-    """One-node stack (grad, hess, rho, u) with vanishing derivatives."""
+    """One-node stack (grad, hess, rho, u) with vanishing derivatives,
+    component-major."""
     rho = np.zeros((m, m)) if rho is None else rho
-    return np.zeros((1, m)), np.zeros((1, m, m)), rho[None], np.zeros(1)
+    return np.zeros((m, 1)), np.zeros((m, m, 1)), rho[..., None], np.zeros(1)
 
 
 def random_admissible_state(rng, m, k):
@@ -30,9 +31,9 @@ def random_admissible_state(rng, m, k):
         P = 0.1 * rng.standard_normal((m, m))
         rho = 0.5 * (P + P.T)
         u = rng.uniform(-0.5, 0.5)
-        st = grad[None], hess[None], rho[None], np.array([u])
+        st = grad[:, None], hess[..., None], rho[..., None], np.array([u])
         W = homotopy_tensor(*st[:3], 1.0, anchor(m, k, 1.0), 1.0)
-        if sigma_all(np.linalg.eigvalsh(W))[0, 1 : k + 1].min() > 0.05:
+        if sigma_all(eigenvalues(W))[0, 1 : k + 1].min() > 0.05:
             return st
 
 
@@ -40,7 +41,7 @@ def linearize(st, k, t=1.0, rhs_scale=1.0):
     """(c2, c1, c0) of the residual's derivative at a node stack: c2 and
     c1 from the kernel, c0 = -2k rhs_scale e^{2ku}."""
     grad, hess, rho, u = st
-    m = grad.shape[1]
+    m = len(grad)
     W = homotopy_tensor(grad, hess, rho, t, anchor(m, k, rhs_scale), 1.0)
     c2, c1 = linear_coefficients(sigma_newton(W, k)[1], grad, 1.0)
     return c2, c1, -2.0 * k * rhs_scale * np.exp(2.0 * k * u)
@@ -50,28 +51,29 @@ def derivative_pair(st, k, rng):
     """(analytic, numeric) derivative of the residual at a one-node stack
     in a random direction: the kernel's linearization against the
     oracle's central difference."""
-    m = st[0].shape[1]
+    m = len(st[0])
     Hd = rng.standard_normal((m, m))
     Hd = 0.5 * (Hd + Hd.T)
     gd = rng.standard_normal(m)
     hd = rng.standard_normal()
     c2, c1, c0 = linearize(st, k)
-    analytic = np.sum(c2[0] * Hd) + c1[0] @ gd + c0[0] * hd
-    return float(analytic), float(jacobian_fd(*st, k)(Hd, gd, hd)[0])
+    analytic = np.sum(c2[..., 0] * Hd) + c1[:, 0] @ gd + c0[0] * hd
+    numeric = jacobian_fd(*st, k)(Hd[..., None], gd[:, None], hd)
+    return float(analytic), float(numeric[0])
 
 
 def radial_node(m, r, dw, d2w):
     """Gradient and Hessian of a radial function at x = r e_0, as
-    one-node stacks."""
+    component-major one-node stacks."""
     P = np.zeros((m, m))
     P[0, 0] = 1.0
     hess = d2w * P + (dw / r) * (np.eye(m) - P)
-    return dw * P[:1], hess[None]
+    return dw * P[:, :1], hess[..., None]
 
 
 def fd_grad_hess(w_fun, x, h=1e-5):
-    """Central-difference gradient and Hessian of w_fun at x, as one-node
-    stacks."""
+    """Central-difference gradient and Hessian of w_fun at x, as
+    component-major one-node stacks."""
     m = x.size
     grad = np.empty(m)
     hess = np.empty((m, m))
@@ -88,7 +90,7 @@ def fd_grad_hess(w_fun, x, h=1e-5):
                 - w_fun(x - ea + eb)
                 + w_fun(x - ea - eb)
             ) / (4 * h * h)
-    return grad[None], hess[None]
+    return grad[:, None], hess[..., None]
 
 
 class TestRicciConformal:
@@ -99,7 +101,7 @@ class TestRicciConformal:
         rho = 0.5 * (P + P.T)
         grad, hess, rho_s, _ = zero_state(3, rho)
         W = homotopy_tensor(grad, hess, rho_s, 1.0, anchor(3, 2, 1.0), 1.0)
-        assert np.allclose(W[0], rho)
+        assert np.allclose(W[..., 0], rho)
 
     def test_constant_factor_flat_stays_flat(self):
         grad, hess, _, _ = zero_state(4)
@@ -116,7 +118,7 @@ class TestRicciConformal:
 
         grad, hess = fd_grad_hess(w_fun, x)
         expect = (m - 1) * np.exp(2 * w_fun(x)) * np.eye(m)
-        assert np.allclose(conformal_tensor(grad, hess)[0], expect,
+        assert np.allclose(conformal_tensor(grad, hess)[..., 0], expect,
                            rtol=1e-5, atol=1e-5)
 
     def test_matches_fd_curvature_oracle(self):
@@ -136,7 +138,7 @@ class TestRicciConformal:
         x = np.array([0.2, -0.1, 0.4])
         grad, hess = fd_grad_hess(w_fun, x)
         assert np.allclose(
-            conformal_tensor(grad, hess)[0], -ricci_fd(metric, x),
+            conformal_tensor(grad, hess)[..., 0], -ricci_fd(metric, x),
             rtol=1e-4, atol=1e-4,
         )
 
@@ -147,7 +149,7 @@ class TestAssembleWt:
         m, k = 3, 2
         lam = anchor(m, k, 1.0)
         W = homotopy_tensor(*zero_state(m)[:3], 0.0, lam, 1.0)
-        assert np.allclose(W[0], lam * np.eye(m))
+        assert np.allclose(W[..., 0], lam * np.eye(m))
 
     def test_flat_endpoint_vanishes(self):
         m, k = 4, 4
@@ -160,10 +162,10 @@ class TestAssembleWt:
         s = 0.45
         w, dw, d2w = einstein_exact_radial(m, k, s, derivatives=True)
         grad, hess = radial_node(m, s, dw, d2w)
-        rho = np.zeros((1, m, m))
+        rho = np.zeros((m, m, 1))
         W = homotopy_tensor(grad, hess, rho, 1.0, anchor(m, k, 1.0), 1.0)
         expect = comb(m, k) ** (-1.0 / k) * np.exp(2 * w)
-        assert np.allclose(np.linalg.eigvalsh(W), expect, rtol=1e-9)
+        assert np.allclose(eigenvalues(W), expect, rtol=1e-9)
         res = kernel_residual(grad, hess, rho, np.array([w]), k)
         assert abs(res[0]) <= 1e-9 * max(1.0, expect**k)
 
@@ -184,7 +186,7 @@ class TestResidual:
         for _ in range(20):
             st = random_admissible_state(rng, 3, 3)
             W = homotopy_tensor(*st[:3], 1.0, anchor(3, 3, 1.0), 1.0)
-            direct = np.linalg.det(W[0]) - np.exp(2 * 3 * st[3][0])
+            direct = np.linalg.det(W[..., 0]) - np.exp(2 * 3 * st[3][0])
             assert kernel_residual(*st, 3)[0] == pytest.approx(
                 direct, rel=1e-12, abs=1e-12
             )
@@ -211,10 +213,10 @@ class TestLinearize:
         # constant directions see only c0 = -2k e^{2ku}
         for m in (3, 4):
             grad, hess, rho, u = zero_state(m)
-            hess = hess + 0.5 * np.eye(m)
+            hess = hess + 0.5 * np.eye(m)[..., None]
             c0 = linearize((grad, hess, rho, u), m, t=0.0)[2][0]
             fd = jacobian_fd(grad, hess, rho, u, m, t=0.0)
-            numeric = fd(np.zeros((m, m)), np.zeros(m), 1.0)[0]
+            numeric = fd(np.zeros((m, m, 1)), np.zeros((m, 1)), 1.0)[0]
             assert c0 == pytest.approx(-2.0 * m)
             assert numeric == pytest.approx(c0, rel=1e-8)
 
@@ -223,8 +225,8 @@ class TestLinearize:
         # c2 = diag(-4, -4, 0) is not positive definite
         st = zero_state(3, np.diag([1.0, 1.0, -3.0]))
         c2, _, _ = linearize(st, 2)
-        assert np.allclose(c2[0], np.diag([-4.0, -4.0, 0.0]))
-        assert np.linalg.eigvalsh(c2[0])[0] < 0.0
+        assert np.allclose(c2[..., 0], np.diag([-4.0, -4.0, 0.0]))
+        assert np.linalg.eigvalsh(c2[..., 0])[0] < 0.0
 
     @pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (3, 3), (4, 2), (4, 4)])
     def test_matches_fd_jacobian(self, m, k):
@@ -241,7 +243,7 @@ class TestLinearize:
         rng = np.random.default_rng(42)
         for _ in range(20):
             st = random_admissible_state(rng, 4, 3)
-            c2 = linearize(st, 3)[0][0]
+            c2 = linearize(st, 3)[0][..., 0]
             assert np.linalg.eigvalsh(0.5 * (c2 + c2.T))[0] > 0
 
     def test_einstein_zero_order_beta_normalized(self):
@@ -254,12 +256,12 @@ class TestLinearize:
         s = 0.3
         w, dw, d2w = einstein_exact_radial(m, k, s, derivatives=True)
         grad, hess = radial_node(m, s, dw, d2w)
-        st = grad, hess, np.zeros((1, m, m)), np.array([w - shift])
+        st = grad, hess, np.zeros((m, m, 1)), np.array([w - shift])
         expect = -2 * k * beta * np.exp(2 * k * st[3][0])
         _, _, c0 = linearize(st, k, rhs_scale=beta)
         assert c0[0] == pytest.approx(expect, rel=1e-12)
         fd = jacobian_fd(*st, k, rhs_scale=beta)
-        numeric = fd(np.zeros((m, m)), np.zeros(m), 1.0)[0]
+        numeric = fd(np.zeros((m, m, 1)), np.zeros((m, 1)), 1.0)[0]
         assert numeric == pytest.approx(expect, rel=1e-8)
         # sanity: the state solves the beta-normalized equation
         assert abs(kernel_residual(*st, k, rhs_scale=beta)[0]) <= 1e-8 * beta

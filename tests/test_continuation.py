@@ -1,4 +1,5 @@
 import weakref
+from math import comb
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sigmaric.continuation_solver as cs
-from oracles import background_prescale, manufactured_box
+from oracles import (
+    background_prescale,
+    box_homotopy_tensor,
+    eigenvalues,
+    manufactured_box,
+)
 from sigmaric.conformal_ops import conformal_tensor
 from sigmaric.continuation_solver import (
     SolveConfig,
@@ -22,6 +28,8 @@ from sigmaric.domains import (
 )
 from sigmaric.radial_oracle import bvp_solve, einstein_exact_radial
 from sigmaric.symfun import sigma_all
+
+from test_domains import _BOX_IDS, _BOXES
 
 
 def flat_config(grid, k, **kw):
@@ -189,7 +197,7 @@ class TestDirichletBox:
         grid = make_box_grid([0, 0, 0], [1, 1, 1], [17, 17, 17])
         k = 2
         um, gm, hm, f = manufactured_box(grid, k)
-        esp = sigma_all(np.linalg.eigvalsh(conformal_tensor(gm, hm)))
+        esp = sigma_all(eigenvalues(conformal_tensor(gm, hm)))
         assert esp[:, 1:k + 1].min() > 0  # manufactured state is admissible
         cfg = flat_config(grid, k, boundary_data=um, rhs_factor=f)
         state = solve_dirichlet(cfg)
@@ -247,33 +255,51 @@ class TestComplete:
         assert rung and all(np.array_equal(fv, f) for fv in rung)
 
 
-def _converged(grid, k, data):
-    """Converged Dirichlet state and the discretization it was solved on."""
-    cfg = flat_config(grid, k, boundary_data=data)
-    state = solve_dirichlet(cfg)
+def random_rho(grid, seed, size=1.0):
+    """A box background g = delta with a random symmetric rho at each
+    node, entries of the given size."""
+    A = size * np.random.default_rng(seed).standard_normal(
+        (grid.n, grid.m, grid.m))
+    rho = A + np.swapaxes(A, 1, 2)
+    g = np.broadcast_to(np.eye(grid.m), rho.shape).copy()
+    return BackgroundMetric(grid, "flat", g, rho)
+
+
+def _converged(grid, k, data, background=None, t=1.0):
+    """Dirichlet state converged at t and the discretization it was solved
+    on: the solution at t = 1, then Newton at t from there."""
+    cfg = SolveConfig(grid=grid, k=k, boundary_data=data,
+                      background=background or background_ricci(grid, "flat"))
+    u = solve_dirichlet(cfg).u.values
     disc = cs._make_disc(cfg)
     bc = cs._boundary_values(grid, data)
-    return disc, state.u.values, bc
+    if t < 1.0:
+        u = cs._damped_newton(disc, u, t, bc, np.ones(u.size), cfg, [])[0]
+    return disc, u, bc
 
 
-def _jacobian_at(disc, u, bc):
-    """The Jacobian at (u, t = 1), from what the residual there built."""
+def _jacobian_at(disc, u, bc, t=1.0):
+    """The Jacobian at (u, t), from what the residual there built."""
     ones = np.ones(u.size)
-    return disc.jacobian(u, ones, disc.residual(u, 1.0, bc, ones)[2])
+    return disc.jacobian(u, ones, disc.residual(u, t, bc, ones)[2])
 
 
-def _box_state(k, hi=(1.0, 0.5, 0.8), counts=(11, 7, 9)):
+def _box_state(k, hi=(1.0, 0.5, 0.8), counts=(11, 7, 9), rho=False):
+    # with rho != 0 the state is converged at t = 0.6, so the t rho term,
+    # the anchor and the prescale all enter
     grid = make_box_grid(np.zeros(len(hi)), hi, counts)
     phase = grid.points @ np.resize([1.0, 2.0, -1.0], grid.m)
-    disc, u, bc = _converged(grid, k, 0.5 + 0.1 * np.sin(phase))
-    return disc, u, bc, np.cos(phase) + grid.points.prod(axis=1)
+    bg, t = (random_rho(grid, 11, 0.2), 0.6) if rho else (None, 1.0)
+    disc, u, bc = _converged(grid, k, 0.5 + 0.1 * np.sin(phase), bg, t)
+    v = np.cos(phase) + grid.points.prod(axis=1)
+    return disc, u, bc, v, t
 
 
 def _radial_state():
     grid = make_radial_grid(0.5, 1.0, 65, m=4)
     r = grid.nodes
     disc, u, bc = _converged(grid, 3, np.where(r > 0.75, 0.5, 0.0))
-    return disc, u, bc, np.cos(3.0 * r)
+    return disc, u, bc, np.cos(3.0 * r), 1.0
 
 
 def _ball_state():
@@ -281,13 +307,14 @@ def _ball_state():
     grid = make_radial_grid(0.0, 1.0, 65, m=3)
     r = grid.nodes
     disc, u, bc = _converged(grid, 2, 0.5)
-    return disc, u, bc, np.cos(3.0 * r) + r
+    return disc, u, bc, np.cos(3.0 * r) + r, 1.0
 
 
 _STATES = {
     "box-k1": lambda: _box_state(1),
     "box-k2": lambda: _box_state(2),
     "box-k3": lambda: _box_state(3),
+    "box-rho-k2": lambda: _box_state(2, rho=True),
     "box4d-k3": lambda: _box_state(3, (1.0, 0.7, 1.2, 0.9), (6, 5, 7, 5)),
     "box2d-k2": lambda: _box_state(2, (1.0, 0.7), (13, 11)),
     "radial-m4-k3": _radial_state,
@@ -304,13 +331,13 @@ class TestDiscreteJacobian:
     # smooth one 2e-8)
     @pytest.mark.parametrize("case", list(_STATES))
     def test_matches_central_differences(self, case):
-        disc, u, bc, v = _STATES[case]()
+        disc, u, bc, v, t = _STATES[case]()
         ones = np.ones(u.size)
-        J = _jacobian_at(disc, u, bc)
+        J = _jacobian_at(disc, u, bc, t)
         Jv = J.matvec(v) if case.startswith("box") else J @ v
         eps = 1e-6
-        Fp = disc.residual(u + eps * v, 1.0, bc, ones)[0]
-        Fm = disc.residual(u - eps * v, 1.0, bc, ones)[0]
+        Fp = disc.residual(u + eps * v, t, bc, ones)[0]
+        Fm = disc.residual(u - eps * v, t, bc, ones)[0]
         fd = (Fp - Fm) / (2.0 * eps)
         err = np.max(np.abs(Jv - fd)) / np.max(np.abs(Jv))
         assert err <= 1e-6
@@ -320,7 +347,7 @@ class TestDiscreteJacobian:
     @pytest.mark.parametrize("state", [_ball_state, _radial_state],
                              ids=["radial-ball", "radial-annulus"])
     def test_no_stored_zeros(self, state):
-        disc, u, bc, _ = state()
+        disc, u, bc, _, _ = state()
         J = _jacobian_at(disc, u, bc)
         assert J.nnz == np.count_nonzero(J.data)
 
@@ -343,6 +370,34 @@ class TestDiscreteJacobian:
         J = disc._fill(c2, c1, c0)
         assert J.format == "csc" and J.nnz == np.count_nonzero(J.data)
         assert np.array_equal(J.toarray(), ref.toarray())
+
+
+class TestBoxSigma:
+    # sigma_k and the cone margin that _BoxDisc._sigma reads off the
+    # component-major kernel, for every k, against sigma_all of the
+    # eigenvalues of W_t formed node-major by the oracle, with its own
+    # derivatives, anchor and prescale; t < 1, so rho, the anchor and the
+    # prescale all enter
+    @pytest.mark.parametrize("rho", [False, True], ids=["flat", "rho"])
+    @pytest.mark.parametrize("lo, hi, counts", _BOXES, ids=_BOX_IDS)
+    def test_matches_eigenvalues(self, lo, hi, counts, rho):
+        grid = make_box_grid(lo, hi, counts)
+        m, x = grid.m, grid.points
+        bg = random_rho(grid, 5, 0.3) if rho else background_ricci(grid,
+                                                                   "flat")
+        u = 0.3 * np.sin(x @ np.arange(1.0, m + 1)) - 0.2 * np.sum(x * x, 1)
+        t = 0.6
+        for k in range(1, m + 1):
+            disc = cs._make_disc(SolveConfig(grid=grid, background=bg, k=k))
+            sigma_k, margin, _ = disc._sigma(u, t)
+            W = box_homotopy_tensor(grid, u, bg.rho, t, comb(m, k) ** (-1 / k),
+                                    background_prescale(bg.g, bg.rho))
+            lam = np.linalg.eigvalsh(W)
+            ref = sigma_all(lam)
+            tol = 1e-12 * comb(m, k) * max(1.0, np.abs(lam).max()) ** k
+            assert np.max(np.abs(sigma_k[~grid.boundary] - ref[:, k])) <= tol
+            assert np.all(sigma_k[grid.boundary] == 0.0)
+            assert abs(margin - ref[:, 1 : k + 1].min()) <= tol
 
 
 class TestEvaluatedOnce:
@@ -441,13 +496,10 @@ class TestPrescale:
 
     def test_box_random_rho(self):
         grid = make_box_grid([0, 0, 0], [1, 1, 1], [5, 5, 5])
-        A = np.random.default_rng(3).standard_normal((grid.n, 3, 3))
-        rho = A + np.swapaxes(A, 1, 2)
-        g = np.broadcast_to(np.eye(3), rho.shape).copy()
-        bg = BackgroundMetric(grid, "flat", g, rho)
+        bg = random_rho(grid, 3)
         scale = cs._make_disc(SolveConfig(grid=grid, background=bg,
                                           k=2)).bg_scale
-        ref = background_prescale(g, rho)
+        ref = background_prescale(bg.g, bg.rho)
         assert ref > 1.0
         assert abs(scale - ref) <= 2 * np.spacing(ref)
 

@@ -5,10 +5,9 @@ import scipy.sparse as sp
 from oracles import ricci_fd
 from sigmaric.domains import (
     FastDiag,
-    ScalarField,
     background_ricci,
+    box_derivative_operators,
     boundary_distance,
-    fd_derivatives,
     make_box_grid,
     make_radial_grid,
     uniform_d1,
@@ -63,54 +62,51 @@ class TestGrids:
             make_radial_grid(0.0, 1.0, 17, grading=grading)
 
     def test_four_nodes_minimum(self):
-        # the one-sided second-difference end rows span 4 nodes
+        # the one-sided end rows of uniform_d2 span 4 nodes: radial
+        # stencils use them, and box interiors take their second-difference
+        # blocks from them
         with pytest.raises(ValueError, match="at least 4 nodes"):
             make_radial_grid(0.5, 1.0, 3)
         with pytest.raises(ValueError, match="at least 4 nodes per axis"):
             make_box_grid([0, 0], [1, 1], [5, 3])
         grid = make_box_grid([0, 0], [1, 1], [4, 4])
-        u = ScalarField(grid, grid.points[:, 0] ** 3)
-        _, hess = fd_derivatives(u)
+        d = box_derivative_operators(grid)(grid.points[:, 0] ** 3)
         x = grid.points[~grid.boundary, 0]
-        assert np.allclose(hess[:, 0, 0], 6.0 * x)
+        assert np.allclose(d[0, 0].ravel(), 6.0 * x)
         assert make_radial_grid(0.5, 1.0, 4).n == 4
 
 
 class TestFdDerivatives:
-    # derivatives are taken at the interior nodes, in C order
+    # derivatives are taken at the interior nodes, interior-shaped, d[a,]
+    # the first ones and d[a, b] (a <= b) the second ones
     def test_bilinear_exact(self):
         grid = make_box_grid([0, 0], [1, 1], [9, 9])
-        f = ScalarField(grid, grid.points[:, 0] * grid.points[:, 1])
-        grad, hess = fd_derivatives(f)
+        d = box_derivative_operators(grid)(grid.points.prod(axis=1))
         inner = grid.points[~grid.boundary]
-        assert grad.shape == (inner.shape[0], 2)
-        assert np.allclose(hess[:, 0, 1], 1.0, atol=1e-12)
-        assert np.allclose(hess[:, 1, 0], 1.0, atol=1e-12)
-        assert np.allclose(hess[:, 0, 0], 0.0, atol=1e-12)
-        assert np.allclose(grad[:, 0], inner[:, 1], atol=1e-12)
+        assert d[0,].shape == (7, 7)
+        assert np.allclose(d[0, 1], 1.0, atol=1e-12)
+        assert np.allclose(d[0, 0], 0.0, atol=1e-12)
+        assert np.allclose(d[0,].ravel(), inner[:, 1], atol=1e-12)
 
     def test_quadratic_laplacian_exact(self):
         m = 3
         grid = make_box_grid([0] * m, [1] * m, [7] * m)
-        f = ScalarField(grid, np.sum(grid.points**2, axis=1))
-        _, hess = fd_derivatives(f)
-        lap = np.trace(hess, axis1=1, axis2=2)
+        d = box_derivative_operators(grid)(np.sum(grid.points**2, axis=1))
+        lap = sum(d[a, a] for a in range(m))
         assert np.allclose(lap, 2.0 * m, atol=1e-10)
 
     def test_second_order_convergence(self):
         errs = []
         for n in (17, 33):
             grid = make_box_grid([0, 0], [1, 1], [n, n])
-            vals = np.prod(np.sin(grid.points), axis=1)
-            f = ScalarField(grid, vals)
-            _, hess = fd_derivatives(f)
-            exact = np.empty_like(hess)
+            d = box_derivative_operators(grid)(
+                np.prod(np.sin(grid.points), axis=1))
             s = np.sin(grid.points[~grid.boundary])
             c = np.cos(grid.points[~grid.boundary])
-            exact[:, 0, 0] = -s[:, 0] * s[:, 1]
-            exact[:, 1, 1] = -s[:, 0] * s[:, 1]
-            exact[:, 0, 1] = exact[:, 1, 0] = c[:, 0] * c[:, 1]
-            errs.append(np.abs(hess - exact).max())
+            exact = {(0, 0): -s[:, 0] * s[:, 1], (1, 1): -s[:, 0] * s[:, 1],
+                     (0, 1): c[:, 0] * c[:, 1]}
+            errs.append(max(np.abs(d[key].ravel() - ref).max()
+                            for key, ref in exact.items()))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     # the slice stencils against the 1-d operators lifted to the box by
@@ -119,8 +115,8 @@ class TestFdDerivatives:
     @pytest.mark.parametrize("lo, hi, counts", _BOXES, ids=_BOX_IDS)
     def test_matches_kronecker_lifts(self, lo, hi, counts):
         grid = make_box_grid(lo, hi, counts)
-        f = ScalarField(grid, np.sin(grid.points @ np.arange(1, grid.m + 1))
-                        + grid.points.prod(axis=1))
+        f = (np.sin(grid.points @ np.arange(1, grid.m + 1))
+             + grid.points.prod(axis=1))
 
         def lift(op, axis):
             out = sp.identity(1)
@@ -129,20 +125,21 @@ class TestFdDerivatives:
             return out.tocsr()
 
         def close(x, D):
-            ref = (D @ f.values)[rows]
+            ref = (D @ f)[rows]
+            x = x.ravel()
             return np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         D1 = [lift(uniform_d1(n, h), a)
               for a, (n, h) in enumerate(zip(counts, grid.spacing))]
         rows = ~grid.boundary
-        grad, hess = fd_derivatives(f)
-        assert grad.shape == (rows.sum(), grid.m)
+        d = box_derivative_operators(grid)(f)
+        assert len(d) == grid.m * (grid.m + 3) // 2
         for a, (n, h) in enumerate(zip(counts, grid.spacing)):
-            assert close(grad[:, a], D1[a])
-            assert close(hess[:, a, a], lift(uniform_d2(n, h), a))
+            assert d[a,].shape == tuple(c - 2 for c in counts)
+            assert close(d[a,], D1[a])
+            assert close(d[a, a], lift(uniform_d2(n, h), a))
             for b in range(a + 1, grid.m):
-                assert close(hess[:, a, b], D1[a] @ D1[b])
-                assert np.array_equal(hess[:, a, b], hess[:, b, a])
+                assert close(d[a, b], D1[a] @ D1[b])
 
 
 class TestFastDiag:

@@ -3,6 +3,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
+from oracles import eigenvalues
 from sigmaric import radial_oracle
 from sigmaric.conformal_ops import anchor, homotopy_tensor
 from sigmaric.radial_oracle import (
@@ -40,9 +41,9 @@ class TestRadialEigenvalues:
         w, dw, d2w = 0.2, -0.4, 1.1
         a, b = radial_eigenvalues(w, dw, d2w, r, t=t, k=k, m=m)
         grad, hess = radial_node(m, r, dw, d2w)
-        W = homotopy_tensor(grad, hess, np.zeros((1, m, m)), t,
+        W = homotopy_tensor(grad, hess, np.zeros((m, m, 1)), t,
                             anchor(m, k, 1.0), 1.0)
-        lam = np.linalg.eigvalsh(W)[0]
+        lam = eigenvalues(W)[0]
         expect = np.sort(np.array([a] + [b] * (m - 1)))
         assert np.allclose(lam, expect, rtol=1e-12)
 

@@ -109,6 +109,12 @@ class TestSigmaAllStack:
         assert np.array_equal(e[finite], per_row(lams[finite]))
 
 
+def component_major(stack):
+    """An (n, m, m) stack of matrices as the (m, m, n) array sigma_newton
+    takes."""
+    return np.moveaxis(stack, 0, -1)
+
+
 class TestSigmaAllMatrix:
     # sigma_0..sigma_k of matrix stacks, the e that sigma_newton returns
     def test_matches_eigenvalues(self):
@@ -131,12 +137,12 @@ class TestSigmaAllMatrix:
             for stack in (W, Wc):
                 ev = np.linalg.eigvalsh(stack)
                 ref = sigma_all_batch(ev)
-                got, _ = sigma_newton(stack, m)
-                assert got.shape == (n, m + 1)
-                assert np.all(got[:, 0] == 1.0)
+                got, _ = sigma_newton(component_major(stack), m)
+                assert got.shape == (m + 1, n)
+                assert np.all(got[0] == 1.0)
                 top = np.abs(ev).max(axis=1)
                 for k in range(1, m + 1):
-                    err = np.abs(got[:, k] - ref[:, k])
+                    err = np.abs(got[k] - ref[:, k])
                     assert np.all(err <= 1e-12 * comb(m, k) * top**k)
 
     def test_prefix_and_validation(self):
@@ -191,8 +197,9 @@ class TestNewtonTransform:
         for m in range(1, 7):
             W = rng.standard_normal((50, m, m))
             for stack in (W, 0.5 * (W + np.swapaxes(W, 1, 2))):
-                e, T = sigma_newton(stack, m)
-                err = np.abs(T @ stack - e[:, m, None, None] * np.eye(m))
+                e, T = sigma_newton(component_major(stack), m)
+                err = np.abs(np.moveaxis(T, -1, 0) @ stack
+                             - e[m, :, None, None] * np.eye(m))
                 scale = np.linalg.norm(stack, 2, axis=(1, 2)) ** m
                 bound = 1e-13 * comb(m, m // 2) * np.maximum(1.0, scale)
                 assert np.all(err.max(axis=(1, 2)) <= bound)
