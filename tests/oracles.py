@@ -122,6 +122,15 @@ def manufactured_box(grid, k):
     return u, grad, hess, esp[:, k] * np.exp(-2 * k * u)
 
 
+def kron_lift(counts, op, axis):
+    """A 1-d operator on the given axis of a box with these node counts,
+    lifted to all nodes (C order) by Kronecker products."""
+    out = sp.identity(1)
+    for a, n in enumerate(counts):
+        out = sp.kron(out, op if a == axis else sp.identity(n))
+    return out.tocsr()
+
+
 def box_homotopy_tensor(grid, u, rho, t, lam, scale):
     """W_t at the interior nodes of a box, node-major (n_inner, m, m), with
     no solver code: the derivatives from the 1-d stencils of domains lifted
@@ -129,20 +138,13 @@ def box_homotopy_tensor(grid, u, rho, t, lam, scale):
     the tensor from the formula of conformal_ops on whole node stacks.
     rho is node-major (n, m, m) on every node, lam the anchor."""
     m, counts = grid.m, grid.counts
-
-    def lift(op, axis):
-        out = sp.identity(1)
-        for a, n in enumerate(counts):
-            out = sp.kron(out, op if a == axis else sp.identity(n))
-        return out.tocsr()
-
     rows = ~grid.boundary
-    D1 = [lift(uniform_d1(n, h), a)
+    D1 = [kron_lift(counts, uniform_d1(n, h), a)
           for a, (n, h) in enumerate(zip(counts, grid.spacing))]
     grad = np.stack([(D @ u)[rows] for D in D1], axis=1)
     hess = np.empty((grad.shape[0], m, m))
     for a, (n, h) in enumerate(zip(counts, grid.spacing)):
-        hess[:, a, a] = (lift(uniform_d2(n, h), a) @ u)[rows]
+        hess[:, a, a] = (kron_lift(counts, uniform_d2(n, h), a) @ u)[rows]
         for b in range(a + 1, m):
             hess[:, a, b] = hess[:, b, a] = (D1[a] @ (D1[b] @ u))[rows]
     eye = np.eye(m)

@@ -325,10 +325,11 @@ _STATES = {
 class TestDiscreteJacobian:
     # the Jacobian the solver uses (the box operator's matvec, the filled
     # radial matrix) against central differences of the discrete residual
-    # at a converged state; v must be smooth, since for a rough v the
-    # O(eps^2) truncation term carries (D v)^3 ~ h^-3 and swamps the
-    # comparison (a standard normal v reads 4e-5 on the radial grid, the
-    # smooth one 2e-8)
+    # at a converged state (the row weight 1/(1 + rhs) is not
+    # differentiated, which is exact only where F = 0); v must be smooth,
+    # since for a rough v the O(eps^2) truncation term carries
+    # (D v)^3 ~ h^-3 and swamps the comparison (a standard normal v reads
+    # 4e-5 on the radial grid, the smooth one 2e-8)
     @pytest.mark.parametrize("case", list(_STATES))
     def test_matches_central_differences(self, case):
         disc, u, bc, v, t = _STATES[case]()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from oracles import ricci_fd
+from oracles import kron_lift, ricci_fd
 from sigmaric.domains import (
     FastDiag,
     background_ricci,
@@ -118,18 +117,12 @@ class TestFdDerivatives:
         f = (np.sin(grid.points @ np.arange(1, grid.m + 1))
              + grid.points.prod(axis=1))
 
-        def lift(op, axis):
-            out = sp.identity(1)
-            for a, n in enumerate(counts):
-                out = sp.kron(out, op if a == axis else sp.identity(n))
-            return out.tocsr()
-
         def close(x, D):
             ref = (D @ f)[rows]
             x = x.ravel()
             return np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        D1 = [lift(uniform_d1(n, h), a)
+        D1 = [kron_lift(counts, uniform_d1(n, h), a)
               for a, (n, h) in enumerate(zip(counts, grid.spacing))]
         rows = ~grid.boundary
         d = box_derivative_operators(grid)(f)
@@ -137,7 +130,7 @@ class TestFdDerivatives:
         for a, (n, h) in enumerate(zip(counts, grid.spacing)):
             assert d[a,].shape == tuple(c - 2 for c in counts)
             assert close(d[a,], D1[a])
-            assert close(d[a, a], lift(uniform_d2(n, h), a))
+            assert close(d[a, a], kron_lift(counts, uniform_d2(n, h), a))
             for b in range(a + 1, grid.m):
                 assert close(d[a, b], D1[a] @ D1[b])
 
