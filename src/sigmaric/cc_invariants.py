@@ -120,13 +120,15 @@ def solve_family(setup):
     Every member uses rhs_scale = beta_tilde(k, n) on the same grid, so the
     model Einstein representative solves all of them with one and the same
     exponent.  A conformally flat background is reduced exactly to a flat
-    solve of v = w + phi and phi is subtracted afterwards.
+    solve of v = w + phi and phi is subtracted afterwards.  Order k + 1
+    starts from order k's rungs (solve_complete's warm); on the ball, whose
+    orders share one exact solution, each rung then takes 1-2 iterations.
     """
     grid = setup.grid
     m = setup.n + 1
     phi = _phi_values(setup)
     bg = background_ricci(grid, "flat")
-    fields, states = [], []
+    fields, states, rungs = [], [], ()
     for k in range(1, m + 1):
         cfg = SolveConfig(
             grid=grid,
@@ -135,7 +137,8 @@ def solve_family(setup):
             rhs_scale=constants(setup.n, k).beta_tilde,
             tol_residual=setup.tol_residual,
         )
-        state = solve_complete(cfg)
+        state = solve_complete(cfg, warm=rungs)
+        rungs, state.rungs = state.rungs, None  # keep only the last order's
         states.append(state)
         fields.append(ScalarField(grid, state.u.values - phi))
     return CCFamily(setup=setup, w=fields, states=states)

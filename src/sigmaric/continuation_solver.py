@@ -4,9 +4,9 @@ Dirichlet solves run a homotopy from the constant anchor equation (t = 0)
 to the target equation (t = 1), with adaptive t-stepping and a second
 homotopy ramping boundary data (and any manufactured right-hand factor)
 once t reaches 1.  Complete metrics are produced by exhaustion: Dirichlet
-solves with increasing boundary constants, warm-started, stopped when the
-solution stabilizes on a compact core, followed by a boundary asymptotics
-fit of u + ln(distance).
+solves with boundary constants j = 2, 4, ... on one path follower (or
+warm-started from another order's rungs), stopped when the solution
+stabilizes on a compact core, then an asymptotics fit of u + ln(distance).
 
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
@@ -116,7 +116,7 @@ class SolveConfig:
 
 @dataclass
 class HomotopyState:
-    """Converged solver state with its continuation trace."""
+    """Converged solver state with its trace; complete solves add rungs."""
 
     u: ScalarField
     cone_margin: float
@@ -124,6 +124,7 @@ class HomotopyState:
     trace: list = dc_field(default_factory=list)
     background_scale: float = 1.0
     asymptotics: dict = None
+    rungs: list = None
 
 
 def _boundary_values(grid, data):
@@ -167,10 +168,13 @@ class _Disc:
     e^{2ku}, and boundary rows u - bc; the cone margin is min sigma_j
     (1 <= j <= k) over PDE rows.  The subclass's _sigma(u, t) returns
     sigma_k at every row, that margin and what it built; residual returns
-    the build, and jacobian takes it back: the subclass's _operator
-    weights its rows by w = 1/(1 + rhs) at PDE rows and adds the
-    zero-order term c0 = bmask - 2k rhs w.  A subclass also sets bg_scale
-    (c >= 1 with c g >= rho), h_min and diameter.
+    the build, and jacobian takes it back: the subclass's _operator weights
+    its rows by w = 1/(1 + rhs) at PDE rows and adds the zero-order term
+    c0 = bmask - 2k rhs w.  That is the derivative of w(u0) (sigma_k - rhs),
+    the weight frozen at the iterate u0, exact only where F = 0; adding the
+    dropped -2k rhs w F measured 520 -> 549 Newton iterations on the cold
+    n = 384 ball family.  A subclass also sets bg_scale (c >= 1 with
+    c g >= rho), h_min and diameter.
     """
 
     def __init__(self, config):
@@ -332,7 +336,9 @@ class _BoxDisc(_Disc):
     def __init__(self, config):
         grid = config.grid
         bg = config.background
-        if not np.allclose(bg.g, np.eye(grid.m)):
+        # one component at a time: no temporary the size of g
+        if not all(np.allclose(bg.g[:, a, b], a == b)
+                   for a in range(grid.m) for b in range(grid.m)):
             raise TypeError(
                 "box solves need g = delta; reduce conformally flat "
                 "backgrounds to flat solves of u + phi first"
@@ -522,7 +528,7 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
     )
 
 
-def _follow(disc, u, config, trace, label, data):
+def _follow(disc, u, config, trace, label, data, path=None, guess=None):
     """Follow s: 0 -> 1 by damped Newton on data(s) = (t, bc, fvals).
 
     Newton for s_try starts from the secant predictor through the last
@@ -532,16 +538,21 @@ def _follow(disc, u, config, trace, label, data):
     _damped_newton only returns cone-safe iterates.  A failed step is
     retried at half the size, predicted again from the same points; two
     successes double it up to T_STEP_INIT.  Each accepted step appends
-    (label, s, its, res, rule).  Returns u with the residual F and cone
-    margin at (u, data(1)).
+    (label, s, its, res, rule).  path, from the phase before (same length),
+    holds its last secant point, at s - 1 here (or None), and its step,
+    which may then grow to the whole phase; guess predicts a try at s = 1.
+    Returns u with F and the cone margin at (u, data(1)), and the path on.
     """
-    s, step, streak = 0.0, T_STEP_INIT, 0
-    prev = None  # the accepted point before (s, u), once there is one
+    s, streak, cap = 0.0, 0, T_STEP_INIT if path is None else 1.0
+    prev, step = path or (None, T_STEP_INIT)  # prev: accepted before (s, u)
+    step = 1.0 if guess is not None else step
     while s < 1.0:
         s_try = min(1.0, s + step)
         t, bc, fvals = data(s_try)
         start = u
-        if prev is not None:
+        if guess is not None:
+            start, guess = guess, None
+        elif prev is not None:
             start = u + (s_try - s) / (s - prev[0]) * (u - prev[1])
         try:
             u_new, its, res, F, margin, rule = _damped_newton(
@@ -557,23 +568,24 @@ def _follow(disc, u, config, trace, label, data):
         trace.append((label, s, its, res, rule))
         streak += 1
         if streak >= 2:
-            step = min(2.0 * step, T_STEP_INIT)
-    return u, F, margin
+            step = min(2.0 * step, cap)
+    return u, F, margin, ((prev[0] - 1.0, prev[1]), step)
 
 
 def _continuation(disc, config, bc_target, f_target):
     """t: 0 -> 1 from u = 0 at zero data, then ramp boundary data and rhs
     factor.  The last phase ends at data(1) = (1, bc_target, f_target), so
-    its final residual evaluation is the one returned."""
+    its final residual evaluation is the one returned, with its path."""
     trace = []
     n = disc.grid.n
     bc0, ones = np.zeros(n), np.ones(n)
-    u, F, margin = _follow(disc, np.zeros(n), config, trace, "t",
-                           lambda s: (s, bc0, ones))
+    u, F, margin, path = _follow(disc, np.zeros(n), config, trace, "t",
+                                 lambda s: (s, bc0, ones))
     if np.any(bc_target != 0.0) or np.any(f_target != 1.0):
-        u, F, margin = _follow(disc, u, config, trace, "ramp", lambda s: (
-            1.0, s * bc_target, f_target**s))
-    return u, np.max(np.abs(F)), margin, trace
+        u, F, margin, path = _follow(
+            disc, u, config, trace, "ramp",
+            lambda s: (1.0, s * bc_target, f_target**s))
+    return u, np.max(np.abs(F)), margin, trace, path
 
 
 def solve_dirichlet(config):
@@ -587,7 +599,7 @@ def solve_dirichlet(config):
     disc = _make_disc(config)
     bc = _boundary_values(config.grid, config.boundary_data)
     fvals = _rhs_factor_values(config.grid, config.rhs_factor)
-    u, res, margin, trace = _continuation(disc, config, bc, fvals)
+    u, res, margin, trace, _ = _continuation(disc, config, bc, fvals)
     return HomotopyState(
         u=ScalarField(config.grid, u),
         cone_margin=float(margin),
@@ -606,7 +618,7 @@ def complete_grading(n):
     return float(np.exp(10.0 / (n - 1)))
 
 
-def solve_complete(config):
+def solve_complete(config, warm=()):
     """Complete (infinite boundary data) solve by exhaustion; the
     config's boundary_data is not used.
 
@@ -618,7 +630,11 @@ def solve_complete(config):
     extrapolation of the last three rungs; that removes the finite-j tail
     and leaves the discretization error.  The returned state carries an
     asymptotics report: the fitted constant of u + ln(distance) over a
-    near-boundary window, the window, and the fit residual.
+    near-boundary window, the window, and the fit residual; and its rungs.
+    Rung ramps ride one follower, its secant and step carried from ramp to
+    ramp.  warm, the rungs [(j, u_j)] of another order on the same grid,
+    predicts each rung's first try, at (t = 1, bc = j); if that fails, rung
+    j = 2 falls back to the t-continuation, a later one to the halving.
     """
     grid = config.grid
     disc = _make_disc(config)
@@ -627,9 +643,19 @@ def solve_complete(config):
     core = d >= CORE_CUT_FRAC * disc.diameter
     j_cap = max(J_STEP, -log(5.0 * disc.h_min))
 
+    guesses = dict(warm)
     j = J_STEP
     bc = _boundary_values(grid, j)
-    u, res, margin, trace = _continuation(disc, config, bc, fvals)
+    u, trace, path = None, [], (None, 1.0)
+    if j in guesses:
+        try:
+            u, its, res, F, margin, rule = _damped_newton(
+                disc, guesses[j], 1.0, bc, fvals, config, trace)
+            trace.append(("ramp", 1.0, its, res, rule))
+        except ContinuationFailure:
+            pass  # the cold path below
+    if u is None:
+        u, res, margin, trace, path = _continuation(disc, config, bc, fvals)
     rungs = [(j, u)]
     u_prev = u
     for _ in range(MAX_RUNGS):
@@ -638,10 +664,11 @@ def solve_complete(config):
             break
         bc_next = _boundary_values(grid, j_next)
         # u_prev solves t = 1 at data bc: ramp the data to bc_next, with
-        # the rhs factor held at its target
-        u, F, margin = _follow(disc, u_prev, config, trace, "ramp",
-                               lambda s: (1.0, (1.0 - s) * bc + s * bc_next,
-                                          fvals))
+        # the rhs factor held at its target (every ramp spans J_STEP in j)
+        u, F, margin, path = _follow(
+            disc, u_prev, config, trace, "ramp",
+            lambda s: (1.0, (1.0 - s) * bc + s * bc_next, fvals),
+            path, guesses.get(j_next))
         res = np.max(np.abs(F))
         drop = float((u_prev - u).max())
         if drop > 1e-8:
@@ -655,15 +682,14 @@ def solve_complete(config):
         if delta_core <= CORE_TOL:
             break
 
-    extrapolated = False
-    if len(rungs) >= 3:
+    extrapolated = len(rungs) >= 3
+    if extrapolated:
         u2, u1, u0 = rungs[-3][1], rungs[-2][1], rungs[-1][1]
         d1, d2 = u1 - u2, u0 - u1
         safe = np.abs(d1) > 1e-14
         q = np.where(safe, d2 / np.where(safe, d1, 1.0), 0.0)
         q = np.clip(q, 0.0, 0.95)
         u = u0 + d2 * q / (1.0 - q)
-        extrapolated = True
 
     report = _asymptotics_fit(grid, u, d, j, disc.h_min, disc.diameter,
                               config.k)
@@ -682,6 +708,7 @@ def solve_complete(config):
         trace=trace,
         background_scale=disc.bg_scale,
         asymptotics=report,
+        rungs=rungs,
     )
 
 

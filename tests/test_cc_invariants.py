@@ -3,6 +3,7 @@ import pytest
 from math import log
 
 import sigmaric.cc_invariants as cc
+import sigmaric.continuation_solver as cs
 from sigmaric.cc_invariants import (
     CCSetup,
     compute_Hk,
@@ -15,6 +16,7 @@ from sigmaric.cc_invariants import (
 from sigmaric.continuation_solver import (
     SolveConfig,
     complete_grading,
+    solve_complete,
     solve_dirichlet,
 )
 from sigmaric.domains import ScalarField, background_ricci, make_radial_grid
@@ -150,6 +152,46 @@ class TestAnnulusFamily:
         assert not rep["is_einstein"]
 
 
+def newton_iterations(state):
+    return sum(e[2] for e in state.trace if e[0] in ("t", "ramp"))
+
+
+class TestWarmFamily:
+    # order k + 1 starts from order k's rungs: each member must still be
+    # the cold solve of its order, to the solver tolerance
+    @pytest.mark.parametrize("make", [ball_setup, annulus_setup],
+                             ids=["ball", "annulus"])
+    def test_matches_cold_solves(self, make):
+        setup = make(nodes=97)
+        family = solve_family(setup)
+        bg = background_ricci(setup.grid, "flat")
+        for k, (w, state) in enumerate(zip(family.w, family.states), 1):
+            cold = solve_complete(SolveConfig(
+                grid=setup.grid, background=bg, k=k,
+                rhs_scale=constants(setup.n, k).beta_tilde))
+            assert np.max(np.abs(w.values - cold.u.values)) <= 1e-9
+            assert (state.asymptotics["j_final"]
+                    == cold.asymptotics["j_final"])
+
+    # on the ball every order has the same exact solution, so a warm
+    # order takes at most half the cold first order's iterations (a silent
+    # fallback to the cold path fails this), and every Newton solve is
+    # recorded: the trace counts one iteration per Jacobian
+    def test_ball_warm_orders(self, monkeypatch):
+        jacobians = [0]
+        jacobian = cs._RadialDisc.jacobian
+
+        def counted(self, *args):
+            jacobians[0] += 1
+            return jacobian(self, *args)
+
+        monkeypatch.setattr(cs._RadialDisc, "jacobian", counted)
+        family = solve_family(ball_setup(nodes=97))
+        its = [newton_iterations(state) for state in family.states]
+        assert all(2 * i <= its[0] for i in its[1:])
+        assert sum(its) == jacobians[0]
+
+
 class TestInvariance:
     @pytest.fixture(scope="class")
     def family(self):
@@ -209,9 +251,9 @@ class TestDetectionThreshold:
         calls = [0]
         solve = cc.solve_complete
 
-        def counted(config):
+        def counted(config, **kwargs):
             calls[0] += 1
-            return solve(config)
+            return solve(config, **kwargs)
 
         monkeypatch.setattr(cc, "solve_complete", counted)
         return calls

@@ -343,6 +343,34 @@ class TestDiscreteJacobian:
         err = np.max(np.abs(Jv - fd)) / np.max(np.abs(Jv))
         assert err <= 1e-6
 
+    # away from a solution (converged at t = 1, evaluated at t = 0.6, so
+    # F != 0) J is the derivative of w(u0) (sigma_k - rhs)(u), the row
+    # weight w = 1/(1 + rhs) frozen at u0: central differences of that
+    # match, those of F itself do not
+    @pytest.mark.parametrize("case", ["box-k2", "radial-m4-k3"])
+    def test_row_weight_is_frozen(self, case):
+        disc, u, bc, v, _ = _STATES[case]()
+        t, ones, eps = 0.6, np.ones(u.size), 1e-6
+        J = _jacobian_at(disc, u, bc, t)
+        Jv = J.matvec(v) if case.startswith("box") else J @ v
+        w0 = 1.0 / (1.0 + disc._rhs(u, ones))
+
+        def error(frozen):
+            def residual(x):
+                F = disc.residual(x, t, bc, ones)[0]
+                if frozen:  # F / w(x) = sigma_k - rhs at the PDE rows
+                    F[disc.pde] *= (1.0 + disc._rhs(x, ones)[disc.pde]) \
+                        * w0[disc.pde]
+                return F
+
+            fd = (residual(u + eps * v) - residual(u - eps * v)) / (2 * eps)
+            return np.max(np.abs(Jv - fd)) / np.max(np.abs(Jv))
+
+        F = disc.residual(u, t, bc, ones)[0]
+        assert np.max(np.abs(F)) > 1e-2
+        assert error(frozen=True) <= 1e-6
+        assert error(frozen=False) > 1e-3
+
     # entries that cancel are dropped, as sparse sums drop them: stored
     # zeros change SuperLU's ordering and with it the Newton path
     @pytest.mark.parametrize("state", [_ball_state, _radial_state],
