@@ -25,6 +25,7 @@ from .domains import (
     ScalarField,
     background_ricci,
     make_radial_grid,
+    nodal_values,
 )
 
 __all__ = [
@@ -79,7 +80,8 @@ class CCSetup:
     """One family computation: grid, boundary dimension, compactification.
 
     phi, when given, is the conformal exponent of the background
-    gbar = e^{2 phi} delta as a ScalarField on the grid (None means flat).
+    gbar = e^{2 phi} delta, finite up to the boundary: a nodal field or a
+    scalar (domains.nodal_values; None means flat).
     tol_residual is every member's SolveConfig.tol_residual.
     """
 
@@ -91,12 +93,7 @@ class CCSetup:
     def __post_init__(self):
         if self.grid.m != self.n + 1:
             raise ValueError("grid dimension must equal n + 1")
-        if self.phi is not None:
-            vals = np.asarray(getattr(self.phi, "values", self.phi), float)
-            if vals.size != self.grid.n:
-                raise ValueError("phi must be a nodewise field on the grid")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("phi must be finite up to the boundary")
+        nodal_values(self.grid, self.phi, "phi", default=0.0)
 
 
 @dataclass
@@ -106,12 +103,6 @@ class CCFamily:
     setup: CCSetup
     w: list
     states: list = dc_field(default_factory=list)
-
-
-def _phi_values(setup):
-    if setup.phi is None:
-        return np.zeros(setup.grid.n)
-    return np.asarray(getattr(setup.phi, "values", setup.phi), float)
 
 
 def solve_family(setup):
@@ -126,7 +117,7 @@ def solve_family(setup):
     """
     grid = setup.grid
     m = setup.n + 1
-    phi = _phi_values(setup)
+    phi = nodal_values(grid, setup.phi, "phi", default=0.0)
     bg = background_ricci(grid, "flat")
     fields, states, rungs = [], [], ()
     for k in range(1, m + 1):
@@ -168,12 +159,10 @@ def invariance_check(family, phi_shift):
     is reported rather than assumed.
     """
     setup = family.setup
-    shift = np.asarray(getattr(phi_shift, "values", phi_shift), float)
-    if shift.ndim == 0:
-        shift = np.full(setup.grid.n, float(shift))
+    phi = nodal_values(setup.grid, setup.phi, "phi", default=0.0)
+    shift = nodal_values(setup.grid, phi_shift, "phi_shift")
     base = compute_Hk(family)
-    phi_new = _phi_values(setup) + shift
-    moved = replace(setup, phi=ScalarField(setup.grid, phi_new))
+    moved = replace(setup, phi=phi + shift)
     new = compute_Hk(solve_family(moved))
     return max(
         float(np.max(np.abs(a.values - b.values)))

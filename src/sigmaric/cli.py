@@ -45,7 +45,6 @@ from .continuation_solver import (
     solve_dirichlet,
 )
 from .domains import (
-    ScalarField,
     background_ricci,
     make_box_grid,
     make_radial_grid,
@@ -182,6 +181,8 @@ def _eval_expression(expr, env):
 
     Only numbers, those names, arithmetic, comparisons and calls of the
     functions pass the syntax check, so no string reaches attributes.
+    numpy's floating-point warnings are off: the problem that takes the
+    values rejects any that is not finite, naming the key.
     """
     names = {"pi": np.pi, "e": np.e, **_EXPR_FUNCTIONS, **env}
     try:
@@ -198,8 +199,9 @@ def _eval_expression(expr, env):
                 ok = isinstance(node, _EXPR_NODES)
             if not ok:
                 raise ValueError(f"{ast.unparse(node)!r} is not allowed")
-        return eval(compile(tree, "<expression>", "eval"),
-                    {"__builtins__": {}}, names)
+        with np.errstate(all="ignore"):
+            return eval(compile(tree, "<expression>", "eval"),
+                        {"__builtins__": {}}, names)
     except Exception as exc:
         raise ConfigError(f"bad expression {expr!r}: {exc}") from exc
 
@@ -424,9 +426,7 @@ def run_pe_invariant(cfg):
     grid = _make_grid(cfg, complete=True)
     phi = None
     if cfg["phi"]:
-        phi_vals = _eval_expression(cfg["phi"], {"r": grid.nodes})
-        phi = ScalarField(grid, np.broadcast_to(
-            np.asarray(phi_vals, dtype=float), (grid.n,)).copy())
+        phi = _eval_expression(cfg["phi"], {"r": grid.nodes})
     setup = CCSetup(grid=grid, n=n, phi=phi, tol_residual=cfg["tol"])
     family = solve_family(setup)
     report = detection_report(family)
@@ -451,15 +451,9 @@ def run_surface(cfg):
                           f"got {domain!r}")
     env = {"x": grid.points[:, 0], "y": grid.points[:, 1],
            "r": np.linalg.norm(grid.points, axis=1)}
-    curvature = None
-    if cfg["curvature"]:
-        curvature = np.broadcast_to(np.asarray(
-            _eval_expression(cfg["curvature"], env), float), (grid.n,)).copy()
-    psi = None
-    if cfg["psi"]:
-        psi = ScalarField(grid, np.broadcast_to(np.asarray(
-            _eval_expression(cfg["psi"], env), float), (grid.n,)).copy())
-    problem = SurfaceProblem(grid=grid, curvature=curvature, psi=psi)
+    fields = {key: _eval_expression(cfg[key], env)
+              for key in ("curvature", "psi") if cfg[key]}
+    problem = SurfaceProblem(grid=grid, **fields)
     u = solve_positive_scalar(problem)
     report = verify_positive_scalar(problem, u)
     report["u"] = u.values
@@ -555,8 +549,8 @@ def _verify_checks(cfg):
            and not rep2["is_einstein"],
            f"min H_k {hk_min:.2e}, max |H_k| "
            f"{max(rep2['max_abs_Hk']):.2e}")
-    dev = invariance_check(fam, ScalarField(ball, 0.3 * np.exp(
-        -((ball.nodes - 0.4) / 0.15) ** 2)))
+    dev = invariance_check(fam, 0.3 * np.exp(
+        -((ball.nodes - 0.4) / 0.15) ** 2))
     record("pe-conformal-invariance", dev <= 1e-3, f"max dev {dev:.2e}")
 
     # surface module
@@ -619,13 +613,14 @@ def main(argv=None):
     try:
         result, grid, u = _RUNNERS[cfg["command"]](cfg)
     except (ContinuationFailure, InvariantViolation, BvpFailure,
-            RuntimeError) as exc:
+            RuntimeError, np.linalg.LinAlgError) as exc:
         block = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(block), file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ValueError, TypeError) as exc:
         # invalid combinations surface as validation errors in the domain
-        # and solver layers; treat them as configuration problems
+        # and solver layers; treat them as configuration problems (numpy's
+        # LinAlgError is a ValueError, so the clause above takes it first)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     wall = time.perf_counter() - t0

@@ -50,6 +50,7 @@ from .domains import (
     ScalarField,
     boundary_distance,
     box_derivative_operators,
+    nodal_values,
     uniform_d1,
     uniform_d2,
 )
@@ -128,32 +129,19 @@ class HomotopyState:
 
 
 def _boundary_values(grid, data):
-    """Full-length array carrying the boundary data at boundary nodes."""
+    """Full-length array carrying the boundary data at boundary nodes:
+    a nodal field (domains.nodal_values) or one value per boundary node."""
     mask = grid.boundary
-    out = np.zeros(grid.n)
-    data = np.asarray(getattr(data, "values", data), dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("boundary data must be finite")
-    if data.ndim == 0:
-        out[mask] = float(data)
-    elif data.size == grid.n:
-        out[mask] = data[mask]
-    elif data.size == int(mask.sum()):
-        out[mask] = data
-    else:
-        raise ValueError("boundary data length matches neither the grid "
-                         "nor its boundary")
-    return out
+    if np.shape(data) == (np.count_nonzero(mask),):
+        data, on_boundary = np.zeros(grid.n), data
+        data[mask] = on_boundary
+    return np.where(mask, nodal_values(grid, data, "boundary data"), 0.0)
 
 
 def _rhs_factor_values(grid, factor):
-    if factor is None:
-        return np.ones(grid.n)
-    vals = np.asarray(getattr(factor, "values", factor), dtype=float)
-    if vals.size != grid.n:
-        raise ValueError("rhs factor length must match node count")
-    if not np.all((0 < vals) & (vals < np.inf)):
-        raise ValueError("rhs factor must be finite and positive")
+    vals = nodal_values(grid, factor, "rhs factor", default=1.0)
+    if not np.all(vals > 0):
+        raise ValueError("rhs factor must be positive")
     return vals
 
 
@@ -657,7 +645,7 @@ def solve_complete(config, warm=()):
     if u is None:
         u, res, margin, trace, path = _continuation(disc, config, bc, fvals)
     rungs = [(j, u)]
-    u_prev = u
+    u_prev, delta_core = u, None
     for _ in range(MAX_RUNGS):
         j_next = j + J_STEP
         if j_next > j_cap + 1e-12:
@@ -696,11 +684,7 @@ def solve_complete(config, warm=()):
     report["tail_extrapolated"] = extrapolated
     report["j_final"] = j
     report["j_cap"] = j_cap
-    report["core_delta"] = (
-        float(np.abs(rungs[-1][1] - rungs[-2][1])[core].max())
-        if len(rungs) > 1
-        else None
-    )
+    report["core_delta"] = delta_core
     return HomotopyState(
         u=ScalarField(grid, u),
         cone_margin=float(margin),

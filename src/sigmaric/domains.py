@@ -7,7 +7,8 @@ interior nodes only, on slices of the node array.  Backgrounds are flat
 or radial warped products on annuli; conformally flat ones are reduced
 by the callers to flat solves of u + phi, and everything else is out of
 scope.  FastDiag, the fast Dirichlet Poisson solver on box interiors,
-serves the box Newton preconditioner and the surface solve.
+serves the box Newton preconditioner and the surface solve.  Every field
+a problem takes on the nodes is read through nodal_values.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ __all__ = [
     "RadialGrid",
     "BoxGrid",
     "ScalarField",
+    "nodal_values",
     "BackgroundMetric",
     "make_radial_grid",
     "make_box_grid",
@@ -180,6 +182,28 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.size != self.grid.n:
             raise ValueError("field length must match node count")
+
+
+def nodal_values(grid, data, name, default=None):
+    """One finite value per node of grid, as a fresh float array.
+
+    data is a scalar, which is broadcast, or an array or ScalarField of
+    grid.n values; None stands for default.  Anything else, and any value
+    that is not finite, raises a ValueError that names the input.
+    """
+    data = default if data is None else data
+    try:
+        vals = np.array(getattr(data, "values", data), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not numeric: {exc}") from exc
+    if vals.ndim == 0:
+        vals = np.full(grid.n, vals)
+    elif vals.shape != (grid.n,):
+        raise ValueError(f"{name} must be a scalar or {grid.n} nodal "
+                         f"values, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be finite at every node")
+    return vals
 
 
 def uniform_d1(n, h):

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
-from .domains import BoxGrid, FastDiag, ScalarField, uniform_d2
+from .domains import (BoxGrid, FastDiag, ScalarField, nodal_values,
+                      uniform_d2)
 
 __all__ = [
     "PolarDiskGrid",
@@ -127,10 +128,11 @@ def laplacian_matrix(grid):
 class SurfaceProblem:
     """Poisson data for the positive-curvature solve.
 
-    curvature is R(g) as a nodewise field or scalar.  psi, when given, is
-    the conformal exponent of g = e^{2 psi} delta; curvature defaults to
-    the discretely computed R(g) = -2 e^{-2 psi} Delta psi and the flat
-    Laplacian is weighted accordingly.
+    curvature is R(g) and psi the conformal exponent of g = e^{2 psi}
+    delta, each a nodal field or a scalar (domains.nodal_values), stored
+    as its node values when the problem is built.  psi defaults to 0 and
+    curvature to the discretely computed R(g) = -2 e^{-2 psi} Delta psi;
+    the flat Laplacian is weighted by e^{-2 psi}.
     """
 
     grid: object
@@ -140,34 +142,21 @@ class SurfaceProblem:
     def __post_init__(self):
         if self.grid.m != 2:
             raise ValueError("surface solves need a 2-D grid")
-        if self.psi is not None:
-            vals = np.asarray(getattr(self.psi, "values", self.psi), float)
-            if vals.size != self.grid.n:
-                raise ValueError("psi must be a nodewise field on the grid")
+        self.psi = nodal_values(self.grid, self.psi, "psi", default=0.0)
+        if self.curvature is not None:
+            self.curvature = nodal_values(self.grid, self.curvature,
+                                          "curvature")
 
     @cached_property
     def operator(self):
         """(Laplacian, R(g), e^{-2 psi}) at every node, built once."""
         grid = self.grid
         lap = laplacian_matrix(grid)
-        psi = _field_values(grid, self.psi, 0.0)
-        weight = np.exp(-2.0 * psi)
-        if self.curvature is not None:
-            R = _field_values(grid, self.curvature, 0.0)
-        else:
-            R = np.where(grid.boundary, 0.0, -2.0 * weight * (lap @ psi))
+        weight = np.exp(-2.0 * self.psi)
+        R = self.curvature
+        if R is None:
+            R = np.where(grid.boundary, 0.0, -2.0 * weight * (lap @ self.psi))
         return lap, R, weight
-
-
-def _field_values(grid, data, default):
-    if data is None:
-        return np.full(grid.n, float(default))
-    vals = np.asarray(getattr(data, "values", data), dtype=float)
-    if vals.ndim == 0:
-        return np.full(grid.n, float(vals))
-    if vals.size != grid.n:
-        raise ValueError("field length must match node count")
-    return vals
 
 
 def _solve_polar(grid, f):
@@ -237,7 +226,7 @@ def verify_positive_scalar(problem, u):
     """
     lap, R, weight = problem.operator
     interior = ~problem.grid.boundary
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u, float)
+    vals = nodal_values(problem.grid, u, "u")
     lhs = R - 2.0 * weight * (lap @ vals)
     residual = float(np.max(np.abs(lhs[interior] - 1.0)))
     new_curv = np.exp(-2.0 * vals[interior]) * lhs[interior]

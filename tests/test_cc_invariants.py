@@ -69,9 +69,10 @@ class TestSetup:
 
     def test_phi_validation(self):
         grid = make_radial_grid(0.0, 1.0, 65, m=4)
-        with pytest.raises(ValueError):
+        CCSetup(grid=grid, n=3, phi=0.3)  # a scalar is broadcast
+        with pytest.raises(ValueError, match="phi"):
             CCSetup(grid=grid, n=3, phi=np.zeros(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="phi must be finite"):
             CCSetup(grid=grid, n=3, phi=np.full(grid.n, np.inf))
 
 
@@ -210,11 +211,10 @@ class TestInvariance:
         )
         assert invariance_check(family, bump) <= 1e-10
 
-    def test_conformal_background_family(self):
+    def test_conformal_background_family(self, family):
         # a conformally flat bump stays inside the ball class, so the
         # invariants remain at the Einstein level
-        setup = ball_setup(nodes=257)
-        grid = setup.grid
+        grid = family.setup.grid
         bump = ScalarField(
             grid, 0.2 * np.exp(-(((grid.nodes - 0.3) / 0.2) ** 2))
         )
@@ -223,6 +223,11 @@ class TestInvariance:
         assert all(st.cone_margin > 0 for st in fam.states)
         for h in compute_Hk(fam):
             assert np.max(np.abs(h.values)) <= 1e-3
+        # e^{2w} e^{2 phi} delta is the complete metric e^{2(w + phi)}
+        # delta, so each member plus phi is the flat family's member
+        for w, flat in zip(fam.w, family.w):
+            assert np.max(np.abs(w.values + bump.values
+                                 - flat.values)) <= 1e-12
 
 
 class TestBenchmarkTolerance:

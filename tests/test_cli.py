@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -325,19 +326,45 @@ class TestExitCodes:
         assert "finite" in err
         assert not out.exists()
 
+    # a field expression must be finite at every node, boundary included
+    @pytest.mark.parametrize("argv, key", [
+        (["surface", "--domain", "box", "--grid", "9,9", "--psi", "log(x)"],
+         "psi"),
+        (["surface", "--domain", "disk", "--grid", "9,9", "--psi", "x/0"],
+         "psi"),
+        (["surface", "--domain", "box", "--grid", "9,9", "--curvature",
+          "log(x)"], "curvature"),
+        (["pe-invariant", "--n", "2", "--grid", "65", "--phi", "log(r)"],
+         "phi"),
+    ], ids=["box-psi", "disk-psi", "box-curvature", "ball-phi"])
+    def test_non_finite_field_rejected(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        # the message is the whole of stderr, with no numpy warning
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} must be finite at every node\n"
+        assert not out.exists()
+
     def test_warped_ball_rejected(self, capsys):
         # warped backgrounds need an annulus; the default domain is a ball
         assert main(["solve-dirichlet", "--background", "warped:sinh"]) == 2
         assert "annulus" in capsys.readouterr().err
 
-    def test_solver_failure(self, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, yet a solver failure
+    @pytest.mark.parametrize("exc", [
+        ContinuationFailure("step underflow at t=0.5"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ], ids=["continuation", "linalg"])
+    def test_solver_failure(self, exc, monkeypatch, capsys):
         def boom(cfg):
-            raise ContinuationFailure("step underflow at t=0.5")
+            raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "solve-dirichlet", boom)
         assert main(["solve-dirichlet"]) == 3
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ContinuationFailure"
+        assert err["error"] == type(exc).__name__
 
     def test_verify_violation(self, monkeypatch, capsys):
         def fake_checks(cfg):

@@ -64,6 +64,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             solve_dirichlet(flat_config(grid, 2, **{key: vals}))
 
+    def test_scalar_fields_broadcast(self):
+        # a scalar boundary data or rhs factor is the constant nodal field
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        for key in ("boundary_data", "rhs_factor"):
+            a, b = (solve_dirichlet(flat_config(grid, 2, **{key: data}))
+                    for data in (2.0, np.full(grid.n, 2.0)))
+            assert np.array_equal(a.u.values, b.u.values)
+
     def test_boundary_data_length(self):
         grid = make_radial_grid(0.5, 1.0, 33, m=3)
         cfg = flat_config(grid, 2, boundary_data=np.zeros(5))

@@ -4,11 +4,13 @@ import pytest
 from oracles import kron_lift, ricci_fd
 from sigmaric.domains import (
     FastDiag,
+    ScalarField,
     background_ricci,
     box_derivative_operators,
     boundary_distance,
     make_box_grid,
     make_radial_grid,
+    nodal_values,
     uniform_d1,
     uniform_d2,
 )
@@ -73,6 +75,39 @@ class TestGrids:
         x = grid.points[~grid.boundary, 0]
         assert np.allclose(d[0, 0].ravel(), 6.0 * x)
         assert make_radial_grid(0.5, 1.0, 4).n == 4
+
+
+class TestNodalValues:
+    grid = make_radial_grid(0.5, 1.0, 9)
+    ramp = np.linspace(0.0, 1.0, 9)
+
+    @pytest.mark.parametrize("data, default, expect", [
+        (None, 0.5, np.full(9, 0.5)),
+        (2.0, None, np.full(9, 2.0)),
+        (ramp, None, ramp),
+        (list(ramp), None, ramp),
+        (ScalarField(grid, ramp), 0.5, ramp),
+    ], ids=["default", "scalar", "array", "list", "field"])
+    def test_accepted(self, data, default, expect):
+        vals = nodal_values(self.grid, data, "f", default)
+        assert vals.dtype == float and np.array_equal(vals, expect)
+        # a fresh array: writing to it leaves the input as it was
+        vals[0] = -1.0
+        assert np.array_equal(nodal_values(self.grid, data, "f", default),
+                              expect)
+
+    @pytest.mark.parametrize("data, match", [
+        (np.zeros(5), "9 nodal values"),
+        (np.zeros((9, 1)), "9 nodal values"),
+        (np.where(ramp > 0.5, np.nan, ramp), "finite"),
+        (np.inf, "finite"),
+        (np.append(ramp[:-1], -np.inf), "finite"),
+        ("x", "not numeric"),
+        (object(), "not numeric"),
+    ], ids=["length", "shape", "nan", "inf", "minus-inf", "text", "object"])
+    def test_rejected(self, data, match):
+        with pytest.raises(ValueError, match=f"^psi .*{match}"):
+            nodal_values(self.grid, data, "psi")
 
 
 class TestFdDerivatives:

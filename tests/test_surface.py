@@ -216,8 +216,17 @@ class TestConformalBackground:
 
     def test_validation(self):
         g = make_box_grid([0, 0], [1, 1], [17, 17])
-        with pytest.raises(ValueError):
-            SurfaceProblem(grid=g, psi=np.zeros(5))
+        # a scalar psi is broadcast, as a scalar curvature is
+        assert np.array_equal(SurfaceProblem(grid=g, psi=0.3).psi,
+                              np.full(g.n, 0.3))
+        # every field is checked when the problem is built
+        for key in ("psi", "curvature"):
+            with pytest.raises(ValueError, match=f"^{key} .*nodal values"):
+                SurfaceProblem(grid=g, **{key: np.zeros(5)})
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                # log(x): -inf on the x = 0 edge, which the solve never reads
+                SurfaceProblem(grid=g, **{key: np.where(
+                    g.points[:, 0] == 0.0, -np.inf, 0.0)})
         g3 = make_box_grid([0, 0, 0], [1, 1, 1], [5, 5, 5])
         with pytest.raises(ValueError):
             SurfaceProblem(grid=g3)
