@@ -3,10 +3,16 @@
 Dirichlet solves run a homotopy from the constant anchor equation (t = 0)
 to the target equation (t = 1), with adaptive t-stepping and a second
 homotopy ramping boundary data (and any manufactured right-hand factor)
-once t reaches 1.  Complete metrics are produced by exhaustion: Dirichlet
-solves with boundary constants j = 2, 4, ... on one path follower (or
-warm-started from another order's rungs), stopped when the solution
-stabilizes on a compact core, then an asymptotics fit of u + ln(distance).
+once t reaches 1.  They follow that path only on the coarsest of a
+cascade of nested grids (every other node, while the counts are odd);
+each finer grid runs one damped Newton at the target from the solution
+below, prolonged by cubic midpoint interpolation (mesh independence:
+Allgower, Boehmer, Potra & Rheinboldt 1986).  If any level fails, the
+path is followed once on the finest grid instead.  Complete metrics are
+produced by exhaustion: Dirichlet solves with boundary constants
+j = 2, 4, ... on one path follower (or warm-started from another order's
+rungs), stopped when the solution stabilizes on a compact core, then an
+asymptotics fit of u + ln(distance).
 
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
@@ -33,7 +39,7 @@ the Jacobian takes it.  Nothing is kept on a discretization, and Newton
 never changes an iterate in place.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from math import comb, log
 
 import numpy as np
@@ -50,6 +56,7 @@ from .domains import (
     ScalarField,
     boundary_distance,
     box_derivative_operators,
+    make_box_grid,
     nodal_values,
     uniform_d1,
     uniform_d2,
@@ -90,6 +97,7 @@ CORE_CUT_FRAC = 0.05  # the core: distance >= CORE_CUT_FRAC * diameter
 CORE_TOL = 1e-6  # core change at which the exhaustion rungs stop
 J_STEP = 2.0  # boundary constant of the first rung and step between rungs
 MAX_RUNGS = 40  # exhaustion rungs after the first
+NEST_FLOOR = 5  # fewest nodes per axis on a coarser nested Dirichlet grid
 
 
 @dataclass
@@ -576,18 +584,119 @@ def _continuation(disc, config, bc_target, f_target):
     return u, np.max(np.abs(F)), margin, trace, path
 
 
-def solve_dirichlet(config):
-    """Solve the sigma_k Dirichlet problem by Newton continuation.
+# ---------------------------------------------------------------------------
+# nested grids
 
-    The background is pre-scaled so that (scale)g >= rho; the scale factor
-    is recorded on the returned state.  Nonzero boundary data and any
-    manufactured right-hand factor are reached by a second homotopy after
-    t = 1.
+
+def _shape(grid):
+    """Node counts per axis, in the order of the nodal arrays."""
+    return tuple(grid.counts) if isinstance(grid, BoxGrid) else (grid.n,)
+
+
+def _nested_strides(grid):
+    """Node strides of the nested grids, 1 (grid itself) first: the stride
+    doubles while every axis count stays odd and its half stays at least
+    NEST_FLOOR."""
+    spans, strides = np.array(_shape(grid)) - 1, [1]
+    while (np.all(spans // strides[-1] % 2 == 0)
+           and np.all(spans // (2 * strides[-1]) + 1 >= NEST_FLOOR)):
+        strides.append(2 * strides[-1])
+    return strides
+
+
+def _nested_level(config, stride):
+    """config's problem on every stride-th node of each axis, and those
+    nodes' indices in config.grid.  A coarse radial grid keeps the map
+    (nodes, dr and d2r at its nodes), so graded grids stay nested; the
+    background is the fine one at the coarse nodes, and so are the
+    boundary data and rhs factor the caller takes there."""
+    grid, shape = config.grid, _shape(config.grid)
+    every = (slice(None, None, stride),) * len(shape)
+    take = np.arange(grid.n).reshape(shape)[every].ravel()
+    if isinstance(grid, BoxGrid):
+        coarse = make_box_grid(grid.lo, grid.hi,
+                               [(c - 1) // stride + 1 for c in shape])
+    else:
+        coarse = replace(grid, nodes=grid.nodes[take], dr=grid.dr[take],
+                         d2r=grid.d2r[take], grading=grid.grading**stride)
+    bg = config.background
+    background = BackgroundMetric(coarse, bg.kind, bg.g[take], bg.rho[take])
+    return replace(config, grid=coarse, background=background), take
+
+
+def _prolong(coarse, u):
+    """u on the nested grid with twice coarse's steps: each axis in turn
+    keeps the coarse values and fills the midpoints by the cubic through
+    the four nearest coarse nodes in the uniform parameter, (-1, 9, 9, -1)
+    / 16 inside and (5, 15, -5, 1) / 16 next to an end."""
+    v = u.reshape(_shape(coarse))
+    for axis in range(v.ndim):
+        v = np.moveaxis(v, axis, 0)
+        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
+        out[::2] = v
+        out[3:-3:2] = (9.0 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16.0
+        out[1] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+        out[-2] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+        v = np.moveaxis(out, 0, axis)
+    return v.ravel()
+
+
+def _nested_solve(config, disc, bc, fvals, strides):
+    """Continuation on the grid of the last stride, then one damped Newton
+    per finer grid, from the solution below prolonged with its boundary
+    rows set to the data; returns (u, res, margin, trace)."""
+    below = None
+    for stride in reversed(strides):
+        level, level_disc, take = config, disc, slice(None)
+        if stride > 1:  # each level is built when it is solved
+            level, take = _nested_level(config, stride)
+            level_disc = _make_disc(level)
+            level_disc.bg_scale = disc.bg_scale
+        level_bc, level_f = bc[take], fvals[take]
+        if below is None:
+            u, res, margin, trace, _ = _continuation(
+                level_disc, level, level_bc, level_f)
+        else:
+            u = _prolong(below, u)
+            u[level_disc.bmask] = level_bc[level_disc.bmask]
+            u, its, res, _, margin, rule = _damped_newton(
+                level_disc, u, 1.0, level_bc, level_f, level, trace)
+            trace.append(("ramp", 1.0, its, res, rule))
+        below = level.grid
+    return u, res, margin, trace
+
+
+def solve_dirichlet(config):
+    """Solve the sigma_k Dirichlet problem by Newton continuation on the
+    coarsest of a cascade of nested grids, then one damped Newton per finer
+    grid.
+
+    Every other node is taken while every axis count is odd and the coarse
+    count stays at least NEST_FLOOR; a grid with an even count is its own
+    coarsest level.  The coarsest level follows t: 0 -> 1, then a second
+    homotopy ramps nonzero boundary data and any manufactured right-hand
+    factor.  Each finer level starts from the level below, prolonged by
+    cubic midpoint interpolation (_prolong) with its boundary rows set to
+    the data, and runs Newton at (t = 1, target data), which appends one
+    entry ("ramp", 1.0, its, res, rule) to the trace.  If any level of the
+    cascade fails, the continuation runs once on the finest grid, from
+    u = 0, and its trace follows the entries the cascade recorded.  The
+    last entry carries the returned residual.  The background is
+    pre-scaled so that (scale)g >= rho, with the finest grid's scale on
+    every level; the scale is recorded on the returned state.
     """
     disc = _make_disc(config)
     bc = _boundary_values(config.grid, config.boundary_data)
     fvals = _rhs_factor_values(config.grid, config.rhs_factor)
-    u, res, margin, trace, _ = _continuation(disc, config, bc, fvals)
+    strides = _nested_strides(config.grid)
+    try:
+        u, res, margin, trace = _nested_solve(config, disc, bc, fvals,
+                                              strides)
+    except ContinuationFailure as failure:
+        if len(strides) == 1:  # that was the continuation on this grid
+            raise
+        u, res, margin, trace, _ = _continuation(disc, config, bc, fvals)
+        trace = failure.trace + trace
     return HomotopyState(
         u=ScalarField(config.grid, u),
         cone_margin=float(margin),

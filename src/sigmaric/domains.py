@@ -188,10 +188,13 @@ def nodal_values(grid, data, name, default=None):
     """One finite value per node of grid, as a fresh float array.
 
     data is a scalar, which is broadcast, or an array or ScalarField of
-    grid.n values; None stands for default.  Anything else, and any value
-    that is not finite, raises a ValueError that names the input.
+    grid.n values; None stands for default, and is missing without one.
+    Anything else, and any value that is not finite, raises a ValueError
+    that names the input.
     """
     data = default if data is None else data
+    if data is None:
+        raise ValueError(f"{name} is missing")
     try:
         vals = np.array(getattr(data, "values", data), dtype=float)
     except (TypeError, ValueError) as exc:

@@ -130,9 +130,10 @@ class SurfaceProblem:
 
     curvature is R(g) and psi the conformal exponent of g = e^{2 psi}
     delta, each a nodal field or a scalar (domains.nodal_values), stored
-    as its node values when the problem is built.  psi defaults to 0 and
-    curvature to the discretely computed R(g) = -2 e^{-2 psi} Delta psi;
-    the flat Laplacian is weighted by e^{-2 psi}.
+    as its node values when the problem is built; e^{-2 psi} and its
+    inverse must be positive and finite at every node.  psi defaults to 0
+    and curvature to the discretely computed R(g) = -2 e^{-2 psi} Delta
+    psi; the flat Laplacian is weighted by e^{-2 psi}.
     """
 
     grid: object
@@ -143,6 +144,11 @@ class SurfaceProblem:
         if self.grid.m != 2:
             raise ValueError("surface solves need a 2-D grid")
         self.psi = nodal_values(self.grid, self.psi, "psi", default=0.0)
+        # the solve multiplies by e^{2 psi} and the check by e^{-2 psi}
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.exp(2.0 * np.abs(self.psi)))):
+                raise ValueError("psi must keep e^{2 psi} and e^{-2 psi} "
+                                 "positive and finite at every node")
         if self.curvature is not None:
             self.curvature = nodal_values(self.grid, self.curvature,
                                           "curvature")

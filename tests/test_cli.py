@@ -347,6 +347,21 @@ class TestExitCodes:
         assert err == f"config error: {key} must be finite at every node\n"
         assert not out.exists()
 
+    # e^{-2 psi} weights the Laplacian and e^{2 psi} the source: a finite
+    # psi whose exponentials under- or overflow is a config error too
+    @pytest.mark.parametrize("psi, code", [("400", 2), ("-400", 2),
+                                           ("300", 0)])
+    def test_psi_weight_in_range(self, psi, code, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["surface", "--domain", "box", "--grid", "9,9", "--psi", psi]
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: psi must keep")
+            assert not out.exists()
+        else:
+            assert out.exists()
+
     def test_warped_ball_rejected(self, capsys):
         # warped backgrounds need an annulus; the default domain is a ball
         assert main(["solve-dirichlet", "--background", "warped:sinh"]) == 2

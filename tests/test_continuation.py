@@ -72,6 +72,12 @@ class TestConfig:
                     for data in (2.0, np.full(grid.n, 2.0)))
             assert np.array_equal(a.u.values, b.u.values)
 
+    def test_missing_boundary_data(self):
+        grid = make_radial_grid(0.5, 1.0, 9, m=3)
+        cfg = flat_config(grid, 2, boundary_data=None)
+        with pytest.raises(ValueError, match="^boundary data is missing$"):
+            solve_dirichlet(cfg)
+
     def test_boundary_data_length(self):
         grid = make_radial_grid(0.5, 1.0, 33, m=3)
         cfg = flat_config(grid, 2, boundary_data=np.zeros(5))
@@ -128,12 +134,18 @@ class TestDirichletRadial:
         assert np.all(hi.u.values >= lo.u.values - 1e-12)
 
     def test_continuation_trace(self):
-        # a data jump the ramp cannot take in full steps: the t-homotopy
-        # runs first, then the ramp, whose step is halved after failures
-        grid = make_radial_grid(0.5, 1.0, 65, m=4)
+        # a data jump the ramp cannot take in full steps: on the coarsest
+        # nested grid (69 -> 35 -> 18 nodes) the t-homotopy runs first,
+        # then the ramp, whose step is halved after failures; each finer
+        # level adds one Newton solve at s = 1.  From 65 nodes the
+        # coarsest grid has 5, where the ramp takes full steps.
+        grid = make_radial_grid(0.5, 1.0, 69, m=4)
         data = np.where(grid.nodes > 0.75, 0.5, 0.0)
         cfg = flat_config(grid, 3, boundary_data=data)
-        trace = solve_dirichlet(cfg).trace
+        state = solve_dirichlet(cfg)
+        trace, finer = state.trace[:-2], state.trace[-2:]
+        assert [e[:2] for e in finer] == [("ramp", 1.0)] * 2
+        assert state.trace[-1][3] == state.residual_norm
         labels = [e[0] for e in trace]
         n_t = labels.count("t")
         assert n_t > 0
@@ -179,7 +191,9 @@ class TestPredictor:
             return jacobian(self, u, t, fvals)
 
         monkeypatch.setattr(cs._RadialDisc, "jacobian", counted)
-        trace = solve_dirichlet(self.annulus(65)).trace
+        # 69 nodes, as in test_continuation_trace: the coarsest nested
+        # grid has 18 nodes, where this ramp halves its steps
+        trace = solve_dirichlet(self.annulus(69)).trace
         assert calls[0] <= 250
         assert sum(e[2] for e in trace) <= 150
 
@@ -211,6 +225,188 @@ class TestDirichletBox:
         state = solve_dirichlet(cfg)
         assert np.max(np.abs(state.u.values - um)) < 5e-5
         assert state.residual_norm <= 1e-10
+
+
+def _cold(cfg):
+    """The continuation on cfg's own grid, with no coarser level:
+    (u, res, margin, trace, path)."""
+    disc = cs._make_disc(cfg)
+    bc = cs._boundary_values(cfg.grid, cfg.boundary_data)
+    fvals = cs._rhs_factor_values(cfg.grid, cfg.rhs_factor)
+    return cs._continuation(disc, cfg, bc, fvals)
+
+
+def _box_data(grid):
+    x = grid.points
+    return 0.5 + 0.2 * np.sin(3.0 * x[:, 0]) * x[:, 1] - 0.1 * x[:, -1]
+
+
+class TestNested:
+    # solve_dirichlet continues on the coarsest nested grid and runs one
+    # Newton per finer grid from the prolonged solution below
+    def test_prolongation_exact_on_box_cubics(self):
+        lo, hi = [0.0, -1.0, 0.5], [1.0, 0.5, 2.0]
+        coarse = make_box_grid(lo, hi, [5, 7, 6])
+        fine = make_box_grid(lo, hi, [9, 13, 11])
+
+        def cubic(p):
+            x, y, z = p.T
+            return ((x**3 - 2.0 * x) * (y**3 + y**2 - 1.0)
+                    * (z**3 - z + 2.0) + x * y * z**2)
+
+        u = cs._prolong(coarse, cubic(coarse.points))
+        assert np.max(np.abs(u - cubic(fine.points))) <= 1e-12
+
+    def test_prolongation_exact_on_graded_cubics(self):
+        # a graded radial grid coarsens to every other node of its map and
+        # prolongs exactly what is cubic in the uniform parameter xi
+        grid = make_radial_grid(0.0, 1.0, 33, grading=1.1, m=3)
+        coarse, take = cs._nested_level(flat_config(grid, 2), 2)
+        assert np.array_equal(take, np.arange(0, 33, 2))
+        for key in ("nodes", "dr", "d2r"):
+            assert np.array_equal(getattr(coarse.grid, key),
+                                  getattr(grid, key)[::2])
+
+        def cubic(xi):
+            return 2.0 * xi**3 - 3.0 * xi**2 + 0.5 * xi - 1.0
+
+        u = cs._prolong(coarse.grid, cubic(np.linspace(0.0, 1.0, 17)))
+        assert np.max(np.abs(u - cubic(np.linspace(0.0, 1.0, 33)))) <= 1e-13
+
+    @pytest.mark.parametrize("counts, strides", [
+        ([9, 9], [1, 2]), ([17, 9, 13], [1, 2]), ([33], [1, 2, 4, 8]),
+        ([10, 9, 9], [1]), ([7, 7], [1]),
+    ], ids=["9x9", "17x9x13", "33", "even", "floor"])
+    def test_nesting(self, counts, strides):
+        grid = make_box_grid([0.0] * len(counts), [1.0] * len(counts), counts)
+        assert cs._nested_strides(grid) == strides
+        cfg = flat_config(grid, 1)
+        for stride in strides[1:]:
+            level, take = cs._nested_level(cfg, stride)
+            # the coarse nodes are the fine ones at every stride-th node
+            assert np.array_equal(level.grid.points, grid.points[take])
+            assert level.background.g.shape == (take.size, len(counts),
+                                                len(counts))
+
+    @staticmethod
+    def _problem(name):
+        """(config, finer levels, levels that fall back) of a named case."""
+        boxes = {"box-17x9x13": ([17, 9, 13], [1.0, 0.5, 0.8], 2, 1, 0),
+                 "box-33^2": ([33, 33], [1.0, 1.0], 2, 3, 0),
+                 "box-9^4": ([9] * 4, [1.0] * 4, 3, 1, 1)}
+        if name in boxes:
+            counts, hi, k, finer, fallen = boxes[name]
+            grid = make_box_grid([0.0] * len(counts), hi, counts)
+            return (flat_config(grid, k, boundary_data=_box_data(grid)),
+                    finer, fallen)
+        if name == "graded-ball":
+            ball = make_radial_grid(0.0, 1.0, 129, grading=1.01, m=3)
+            return flat_config(ball, 2, boundary_data=1.0), 5, 0
+        annulus = make_radial_grid(0.5, 1.0, 129, m=3)
+        warped = background_ricci(annulus, "warped",
+                                  profile=(np.sinh, np.cosh, np.sinh))
+        return SolveConfig(grid=annulus, background=warped, k=2,
+                           boundary_data=0.5), 5, 0
+
+    # On 9^4 with k = 3 the 5^4 solution, prolonged, leaves the fine cone
+    # next to the edges (sigma_3 down to -20), where the data make a
+    # boundary layer that 5 nodes per axis do not resolve: Newton fails
+    # there and the continuation runs on the 9^4 grid instead.
+    @pytest.mark.parametrize("name", ["box-17x9x13", "box-33^2", "box-9^4",
+                                      "graded-ball", "warped-annulus"])
+    def test_matches_cold_continuation(self, name):
+        cfg, finer, fallen = self._problem(name)
+        state = solve_dirichlet(cfg)
+        u, res, _, trace, _ = _cold(cfg)
+        assert np.max(np.abs(state.u.values - u)) <= 1e-10
+        assert state.residual_norm <= cfg.tol_residual
+        assert state.cone_margin > 0
+        assert state.trace[-1][3] == state.residual_norm
+        steps = [e[:2] for e in state.trace]
+        if fallen:
+            # the cold solve itself, after what the cascade recorded
+            assert np.array_equal(state.u.values, u)
+            assert state.trace[-len(trace):] == trace
+            assert steps.count(("t", 1.0)) == 2
+        else:
+            # one Newton at s = 1 per finer level after the coarsest
+            # level's t-homotopy
+            assert steps[-finer:] == [("ramp", 1.0)] * finer
+            assert steps.count(("t", 1.0)) == 1
+
+    @pytest.mark.parametrize("grid", [
+        make_box_grid([0, 0, 0], [1, 1, 1], [10, 9, 9]),
+        make_radial_grid(0.5, 1.0, 64, m=3),
+    ], ids=["box", "annulus"])
+    def test_even_count_is_its_own_coarsest_grid(self, grid):
+        cfg = flat_config(grid, 2, boundary_data=0.5)
+        state = solve_dirichlet(cfg)
+        u, res, margin, trace, _ = _cold(cfg)
+        assert np.array_equal(state.u.values, u)
+        assert state.trace == trace
+        assert (state.residual_norm, state.cone_margin) == (res, margin)
+
+    def test_failed_level_falls_back(self, monkeypatch):
+        # the finest level's Newton fails: the continuation runs on the
+        # finest grid from u = 0, so the solve is the cold one
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        cfg = flat_config(grid, 2, boundary_data=0.5)
+        newton, failed = cs._damped_newton, []
+
+        def failing(disc, u, t, bc, fvals, config, trace):
+            if disc.grid is grid and not failed:
+                failed.append(t)
+                raise cs.ContinuationFailure("injected", trace)
+            return newton(disc, u, t, bc, fvals, config, trace)
+
+        monkeypatch.setattr(cs, "_damped_newton", failing)
+        state = solve_dirichlet(cfg)
+        monkeypatch.undo()
+        u, res, margin, trace, _ = _cold(cfg)
+        assert failed == [1.0]
+        assert np.array_equal(state.u.values, u)
+        assert (state.residual_norm, state.cone_margin) == (res, margin)
+        assert state.trace[-len(trace):] == trace
+        # 33 -> 17 -> 9 -> 5: the levels 9 and 17 each took one Newton
+        cascade = state.trace[:-len(trace)]
+        assert [e[:2] for e in cascade[-2:]] == [("ramp", 1.0)] * 2
+        assert cascade[0][0] == "t" and trace[0][0] == "t"
+
+    def test_failed_coarsest_continuation_falls_back(self, monkeypatch):
+        # a continuation that fails on the coarsest grid does not fail the
+        # solve: the finest grid's continuation runs, and only it
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        cfg = flat_config(grid, 2, boundary_data=0.5)
+        continuation, grids = cs._continuation, []
+
+        def failing(disc, config, bc, fvals):
+            grids.append(disc.grid.n)
+            if disc.grid is not grid:
+                raise cs.ContinuationFailure("injected", [("t", 0.25)])
+            return continuation(disc, config, bc, fvals)
+
+        monkeypatch.setattr(cs, "_continuation", failing)
+        state = solve_dirichlet(cfg)
+        monkeypatch.undo()
+        u, res, margin, trace, _ = _cold(cfg)
+        assert grids == [5, 33]
+        assert np.array_equal(state.u.values, u)
+        assert state.trace == [("t", 0.25)] + trace
+
+    def test_failure_without_nested_grids_is_raised(self, monkeypatch):
+        # an even count has no coarser level: its failing continuation
+        # raises, and is not run twice
+        grid = make_radial_grid(0.5, 1.0, 32, m=3)
+        calls = []
+
+        def failing(disc, config, bc, fvals):
+            calls.append(disc.grid.n)
+            raise cs.ContinuationFailure("injected")
+
+        monkeypatch.setattr(cs, "_continuation", failing)
+        with pytest.raises(cs.ContinuationFailure, match="injected"):
+            solve_dirichlet(flat_config(grid, 2, boundary_data=0.5))
+        assert calls == [32]
 
 
 class TestCompleteGuess:

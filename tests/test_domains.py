@@ -109,6 +109,11 @@ class TestNodalValues:
         with pytest.raises(ValueError, match=f"^psi .*{match}"):
             nodal_values(self.grid, data, "psi")
 
+    def test_missing(self):
+        # None with no default is missing, not a nan at every node
+        with pytest.raises(ValueError, match="^psi is missing$"):
+            nodal_values(self.grid, None, "psi")
+
 
 class TestFdDerivatives:
     # derivatives are taken at the interior nodes, interior-shaped, d[a,]

@@ -230,3 +230,14 @@ class TestConformalBackground:
         g3 = make_box_grid([0, 0, 0], [1, 1, 1], [5, 5, 5])
         with pytest.raises(ValueError):
             SurfaceProblem(grid=g3)
+
+    def test_psi_weight_range(self):
+        # e^{-2 psi} must neither under- nor overflow at any node, interior
+        # or boundary
+        g = make_box_grid([0, 0], [1, 1], [17, 17])
+        for value in (400.0, -400.0):
+            for where in (0.5, 0.0):
+                psi = np.where(g.points[:, 0] == where, value, 0.0)
+                with pytest.raises(ValueError, match="^psi must keep"):
+                    SurfaceProblem(grid=g, psi=psi)
+        assert SurfaceProblem(grid=g, psi=300.0).psi.max() == 300.0
