@@ -10,9 +10,10 @@ below, prolonged by cubic midpoint interpolation (mesh independence:
 Allgower, Boehmer, Potra & Rheinboldt 1986).  If any level fails, the
 path is followed once on the finest grid instead.  Complete metrics are
 produced by exhaustion: Dirichlet solves with boundary constants
-j = 2, 4, ... on one path follower (or warm-started from another order's
-rungs), stopped when the solution stabilizes on a compact core, then an
-asymptotics fit of u + ln(distance).
+j = 2, 4, ... on one path follower, each started from another order's
+rung or from the rung its boundary layer predicts, stopped when the
+solution stabilizes on a compact core, then an asymptotics fit of
+u + ln(distance).
 
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
@@ -168,9 +169,10 @@ class _Disc:
     its rows by w = 1/(1 + rhs) at PDE rows and adds the zero-order term
     c0 = bmask - 2k rhs w.  That is the derivative of w(u0) (sigma_k - rhs),
     the weight frozen at the iterate u0, exact only where F = 0; adding the
-    dropped -2k rhs w F measured 520 -> 549 Newton iterations on the cold
-    n = 384 ball family.  A subclass also sets bg_scale (c >= 1 with
-    c g >= rho), h_min and diameter.
+    dropped -2k rhs w F measured 197 -> 209 Newton iterations on the cold
+    n = 384 ball family with predicted rungs (u agrees to 7e-12).  A
+    subclass also sets bg_scale (c >= 1 with c g >= rho), h_min and
+    diameter.
     """
 
     def __init__(self, config):
@@ -571,17 +573,19 @@ def _follow(disc, u, config, trace, label, data, path=None, guess=None):
 def _continuation(disc, config, bc_target, f_target):
     """t: 0 -> 1 from u = 0 at zero data, then ramp boundary data and rhs
     factor.  The last phase ends at data(1) = (1, bc_target, f_target), so
-    its final residual evaluation is the one returned, with its path."""
+    its final residual evaluation is the one returned, with its path and
+    the end of the t-phase, the solution at (1, 0, 1)."""
     trace = []
     n = disc.grid.n
     bc0, ones = np.zeros(n), np.ones(n)
     u, F, margin, path = _follow(disc, np.zeros(n), config, trace, "t",
                                  lambda s: (s, bc0, ones))
+    u_t = u
     if np.any(bc_target != 0.0) or np.any(f_target != 1.0):
         u, F, margin, path = _follow(
             disc, u, config, trace, "ramp",
             lambda s: (1.0, s * bc_target, f_target**s))
-    return u, np.max(np.abs(F)), margin, trace, path
+    return u, np.max(np.abs(F)), margin, trace, path, u_t
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +658,7 @@ def _nested_solve(config, disc, bc, fvals, strides):
             level_disc.bg_scale = disc.bg_scale
         level_bc, level_f = bc[take], fvals[take]
         if below is None:
-            u, res, margin, trace, _ = _continuation(
+            u, res, margin, trace, *_ = _continuation(
                 level_disc, level, level_bc, level_f)
         else:
             u = _prolong(below, u)
@@ -695,7 +699,7 @@ def solve_dirichlet(config):
     except ContinuationFailure as failure:
         if len(strides) == 1:  # that was the continuation on this grid
             raise
-        u, res, margin, trace, _ = _continuation(disc, config, bc, fvals)
+        u, res, margin, trace, *_ = _continuation(disc, config, bc, fvals)
         trace = failure.trace + trace
     return HomotopyState(
         u=ScalarField(config.grid, u),
@@ -715,6 +719,18 @@ def complete_grading(n):
     return float(np.exp(10.0 / (n - 1)))
 
 
+def _predict_rung(u, below):
+    """Rung j + J_STEP from rungs u (j) and below (j - J_STEP), or None.
+
+    Near the boundary a rung is about -ln(d + c e^{-j}), so e^{-u_j} is
+    affine in e^{-j} up to O(e^{-2j}); the prediction extends that line
+    through the two rungs, and is None where its argument is not positive
+    at some node."""
+    a, b = np.exp(-u), np.exp(-below)
+    arg = a + np.exp(-J_STEP) * (a - b)
+    return -np.log(arg) if np.all(arg > 0) else None
+
+
 def solve_complete(config, warm=()):
     """Complete (infinite boundary data) solve by exhaustion; the
     config's boundary_data is not used.
@@ -729,9 +745,15 @@ def solve_complete(config, warm=()):
     asymptotics report: the fitted constant of u + ln(distance) over a
     near-boundary window, the window, and the fit residual; and its rungs.
     Rung ramps ride one follower, its secant and step carried from ramp to
-    ramp.  warm, the rungs [(j, u_j)] of another order on the same grid,
-    predicts each rung's first try, at (t = 1, bc = j); if that fails, rung
-    j = 2 falls back to the t-continuation, a later one to the halving.
+    ramp.  Each ramp's first try, at (t = 1, bc = j), starts from a guess:
+    warm's rung j when warm, the rungs [(j, u_j)] of another order on the
+    same grid, holds one; else the rung the boundary layer predicts from
+    the two rungs before it (_predict_rung: near the boundary a rung is
+    about -ln(d + c e^{-j})), the rung j = 0 being the end of the
+    t-continuation when the rhs factor is 1.  With no guess (no rung below,
+    or a prediction that is not a positive e^{-u} at some node) the ramp
+    starts from the secant.  If the guessed try fails, rung j = 2 falls back
+    to the t-continuation, a later one to the halving.
     """
     grid = config.grid
     disc = _make_disc(config)
@@ -743,7 +765,7 @@ def solve_complete(config, warm=()):
     guesses = dict(warm)
     j = J_STEP
     bc = _boundary_values(grid, j)
-    u, trace, path = None, [], (None, 1.0)
+    u, trace, path, below = None, [], (None, 1.0), None
     if j in guesses:
         try:
             u, its, res, F, margin, rule = _damped_newton(
@@ -752,7 +774,10 @@ def solve_complete(config, warm=()):
         except ContinuationFailure:
             pass  # the cold path below
     if u is None:
-        u, res, margin, trace, path = _continuation(disc, config, bc, fvals)
+        u, res, margin, trace, path, u_t = _continuation(disc, config, bc,
+                                                         fvals)
+        if np.all(fvals == 1.0):
+            below = u_t  # the rung j = 0
     rungs = [(j, u)]
     u_prev, delta_core = u, None
     for _ in range(MAX_RUNGS):
@@ -760,12 +785,15 @@ def solve_complete(config, warm=()):
         if j_next > j_cap + 1e-12:
             break
         bc_next = _boundary_values(grid, j_next)
+        guess = guesses.get(j_next)
+        if guess is None and below is not None:
+            guess = _predict_rung(u_prev, below)
         # u_prev solves t = 1 at data bc: ramp the data to bc_next, with
         # the rhs factor held at its target (every ramp spans J_STEP in j)
         u, F, margin, path = _follow(
             disc, u_prev, config, trace, "ramp",
             lambda s: (1.0, (1.0 - s) * bc + s * bc_next, fvals),
-            path, guesses.get(j_next))
+            path, guess)
         res = np.max(np.abs(F))
         drop = float((u_prev - u).max())
         if drop > 1e-8:
@@ -774,7 +802,7 @@ def solve_complete(config, warm=()):
             )
         delta_core = float(np.abs(u - u_prev)[core].max())
         trace.append(("rung", j_next, 0, delta_core))
-        j, bc, u_prev = j_next, bc_next, u
+        j, bc, u_prev, below = j_next, bc_next, u, u_prev
         rungs.append((j, u))
         if delta_core <= CORE_TOL:
             break

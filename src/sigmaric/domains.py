@@ -209,16 +209,28 @@ def nodal_values(grid, data, name, default=None):
     return vals
 
 
+def _stencil(n, h, order, inner, end):
+    """n x n CSR difference stencil over h**order, built from index arrays:
+    interior row i holds the weights inner = {offset: weight} at i + offset,
+    row 0 the one-sided weights end on its first nodes and row n - 1 their
+    mirror image, (-1)**order end reversed, on its last nodes."""
+    i, p = np.arange(1, n - 1), len(end)
+    end = np.array(end)
+    rows = np.concatenate([np.zeros(p, int), np.repeat(i, len(inner)),
+                           np.full(p, n - 1)])
+    cols = np.concatenate([np.arange(p), (i[:, None] + list(inner)).ravel(),
+                           np.arange(n - p, n)])
+    vals = np.concatenate([end, np.tile(list(inner.values()), n - 2),
+                           (-1) ** order * end[::-1]]) / h**order
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def uniform_d1(n, h):
     """Second-order first derivative on n uniform nodes of spacing h.
 
     Centered in the interior, 3-point one-sided at both ends.
     """
-    e = np.ones(n)
-    D = sp.diags([-e[1:] * 0.5, e[1:] * 0.5], [-1, 1], format="lil") / h
-    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    return D.tocsr()
+    return _stencil(n, h, 1, {-1: -0.5, 1: 0.5}, [-1.5, 2.0, -0.5])
 
 
 def uniform_d2(n, h):
@@ -227,11 +239,8 @@ def uniform_d2(n, h):
     Centered in the interior, 4-point one-sided at both ends (exact on
     cubics).
     """
-    e = np.ones(n)
-    D = sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1], format="lil") / h**2
-    D[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-    D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-    return D.tocsr()
+    return _stencil(n, h, 2, {-1: 1.0, 0: -2.0, 1: 1.0},
+                    [2.0, -5.0, 4.0, -1.0])
 
 
 class FastDiag:

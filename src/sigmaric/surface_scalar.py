@@ -228,16 +228,22 @@ def verify_positive_scalar(problem, u):
     residual is the sup norm of R(g) - 2 Delta_g u - 1 at interior nodes;
     new_curvature_min is the minimum of e^{-2u} (R(g) - 2 Delta_g u),
     the discrete scalar curvature of e^{2u} g, which the solve makes
-    equal to e^{-2u} up to the residual.
+    equal to e^{-2u} up to the residual.  Raises RuntimeError when either
+    is not finite: e^{2 psi} near the float limit overflows the check.
     """
     lap, R, weight = problem.operator
     interior = ~problem.grid.boundary
     vals = nodal_values(problem.grid, u, "u")
-    lhs = R - 2.0 * weight * (lap @ vals)
-    residual = float(np.max(np.abs(lhs[interior] - 1.0)))
-    new_curv = np.exp(-2.0 * vals[interior]) * lhs[interior]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = R - 2.0 * weight * (lap @ vals)
+        residual = float(np.max(np.abs(lhs[interior] - 1.0)))
+        curv_min = float(np.min(np.exp(-2.0 * vals[interior])
+                                * lhs[interior]))
+    if not np.isfinite([residual, curv_min]).all():
+        raise RuntimeError(f"verification failed: residual {residual}, "
+                           f"curvature minimum {curv_min}")
     return {
         "residual": residual,
-        "new_curvature_min": float(new_curv.min()),
-        "positive": bool(new_curv.min() > 0.0),
+        "new_curvature_min": curv_min,
+        "positive": curv_min > 0.0,
     }

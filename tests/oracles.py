@@ -122,6 +122,31 @@ def manufactured_box(grid, k):
     return u, grad, hess, esp[:, k] * np.exp(-2 * k * u)
 
 
+def dense_stencils(n, h):
+    """uniform_d1 and uniform_d2 on n nodes of spacing h, written entry by
+    entry into dense arrays: centred rows (-1/2, 0, 1/2)/h and (1, -2, 1)/h^2,
+    one-sided end rows (-3/2, 2, -1/2)/h and (2, -5, 4, -1)/h^2, mirrored
+    (the first with its sign flipped) at the last node."""
+    d1, d2 = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(1, n - 1):
+        d1[i, i - 1], d1[i, i + 1] = -0.5 / h, 0.5 / h
+        d2[i, i - 1], d2[i, i], d2[i, i + 1] = (1.0 / h**2, -2.0 / h**2,
+                                                1.0 / h**2)
+    d1[0, :3] = [-1.5 / h, 2.0 / h, -0.5 / h]
+    d1[-1, -3:] = [0.5 / h, -2.0 / h, 1.5 / h]
+    d2[0, :4] = [2.0 / h**2, -5.0 / h**2, 4.0 / h**2, -1.0 / h**2]
+    d2[-1, -4:] = [-1.0 / h**2, 4.0 / h**2, -5.0 / h**2, 2.0 / h**2]
+    return d1, d2
+
+
+def csr_arrays(D):
+    """(indptr, indices, data) of the nonzeros of a dense matrix, rows in
+    order and columns ascending within each row."""
+    rows, cols = np.nonzero(D)
+    return (np.searchsorted(rows, np.arange(D.shape[0] + 1)), cols,
+            D[rows, cols])
+
+
 def kron_lift(counts, op, axis):
     """A 1-d operator on the given axis of a box with these node counts,
     lifted to all nodes (C order) by Kronecker products."""

@@ -362,6 +362,17 @@ class TestExitCodes:
         else:
             assert out.exists()
 
+    # psi that passes that check but overflows the verification (e^{2 psi}
+    # about 1e307, u about 1e306): a solver failure with the JSON block
+    def test_psi_verification_not_finite(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["surface", "--domain", "box", "--grid", "9,9",
+                     "--psi", "354", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RuntimeError"
+        assert err["message"].startswith("verification failed: residual")
+        assert not out.exists()
+
     def test_warped_ball_rejected(self, capsys):
         # warped backgrounds need an annulus; the default domain is a ball
         assert main(["solve-dirichlet", "--background", "warped:sinh"]) == 2

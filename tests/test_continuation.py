@@ -229,11 +229,11 @@ class TestDirichletBox:
 
 def _cold(cfg):
     """The continuation on cfg's own grid, with no coarser level:
-    (u, res, margin, trace, path)."""
+    (u, res, margin, trace, path), without the end of its t-phase."""
     disc = cs._make_disc(cfg)
     bc = cs._boundary_values(cfg.grid, cfg.boundary_data)
     fvals = cs._rhs_factor_values(cfg.grid, cfg.rhs_factor)
-    return cs._continuation(disc, cfg, bc, fvals)
+    return cs._continuation(disc, cfg, bc, fvals)[:5]
 
 
 def _box_data(grid):
@@ -418,6 +418,41 @@ class TestCompleteGuess:
         h1 = np.diff(g1.nodes).min()
         h2 = np.diff(g2.nodes).min()
         assert h1 / h2 == pytest.approx(2.0, rel=0.02)
+
+    def test_rung_prediction_exact_on_the_layer_model(self):
+        # u_j = -ln(A + B e^{-j}) is predicted exactly from rungs j, j - 2
+        x = np.linspace(0.0, 1.0, 9)
+        A, B = 0.1 + x, 1.0 + 2.0 * x**2
+
+        def rung(j):
+            return -np.log(A + B * np.exp(-j))
+
+        assert np.allclose(cs._predict_rung(rung(4.0), rung(2.0)),
+                           rung(6.0), rtol=0.0, atol=1e-13)
+        # a prediction that is not a positive e^{-u} at some node: none
+        assert cs._predict_rung(rung(4.0), rung(2.0) - 3.0) is None
+
+    def test_predicted_rungs_take_few_iterations(self):
+        # the ramp to j = 4 is predicted from the j = 0 rung, the end of
+        # the t-phase, and accepted whole; each later ramp, predicted from
+        # the two rungs before it, takes at most 4 Newton iterations (13,
+        # 16 and 15 by the secant through them)
+        n = 257
+        grid = make_radial_grid(0.0, 1.0, n, m=3,
+                                grading=complete_grading(n))
+        state = solve_complete(flat_config(grid, 3))
+        ramps, its = {}, []
+        for entry in state.trace:
+            if entry[0] == "rung":
+                ramps[entry[1]], its = its, []
+            else:
+                its.append(entry)
+        assert sorted(ramps) == [4.0, 6.0, 8.0, 10.0]
+        for j in (6.0, 8.0, 10.0):
+            assert [e[:2] for e in ramps[j]] == [("ramp", 1.0)]
+            assert ramps[j][0][2] <= 4
+        # the j = 2 ramp's last step, then the j = 4 ramp in one step
+        assert [e[:2] for e in ramps[4.0][-2:]] == [("ramp", 1.0)] * 2
 
 
 class TestComplete:

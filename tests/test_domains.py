@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import kron_lift, ricci_fd
+from oracles import csr_arrays, dense_stencils, kron_lift, ricci_fd
 from sigmaric.domains import (
     FastDiag,
     ScalarField,
@@ -173,6 +173,21 @@ class TestFdDerivatives:
             assert close(d[a, a], kron_lift(counts, uniform_d2(n, h), a))
             for b in range(a + 1, grid.m):
                 assert close(d[a, b], D1[a] @ D1[b])
+
+
+class TestStencils:
+    # the CSR arrays of the 1-d stencils, bit for bit, against the same
+    # weights written into dense arrays
+    @pytest.mark.parametrize("n", [4, 5, 17, 384])
+    @pytest.mark.parametrize("h", [1.0, 0.37, 1e-3])
+    def test_match_dense_oracle(self, n, h):
+        for D, ref in zip((uniform_d1(n, h), uniform_d2(n, h)),
+                          dense_stencils(n, h)):
+            indptr, indices, data = csr_arrays(ref)
+            assert D.shape == (n, n) and D.data.dtype == np.float64
+            assert np.array_equal(D.indptr, indptr)
+            assert np.array_equal(D.indices, indices)
+            assert D.data.tobytes() == data.tobytes()
 
 
 class TestFastDiag:
