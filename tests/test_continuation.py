@@ -436,17 +436,17 @@ class TestCompleteGuess:
         # the ramp to j = 4 is predicted from the j = 0 rung, the end of
         # the t-phase, and accepted whole; each later ramp, predicted from
         # the two rungs before it, takes at most 4 Newton iterations (13,
-        # 16 and 15 by the secant through them)
+        # 16 and 15 from the secant alone)
         n = 257
         grid = make_radial_grid(0.0, 1.0, n, m=3,
                                 grading=complete_grading(n))
         state = solve_complete(flat_config(grid, 3))
-        ramps, its = {}, []
+        ramps, steps = {}, []  # each rung's ramp steps, by its j
         for entry in state.trace:
             if entry[0] == "rung":
-                ramps[entry[1]], its = its, []
+                ramps[entry[1]], steps = steps, []
             else:
-                its.append(entry)
+                steps.append(entry)
         assert sorted(ramps) == [4.0, 6.0, 8.0, 10.0]
         for j in (6.0, 8.0, 10.0):
             assert [e[:2] for e in ramps[j]] == [("ramp", 1.0)]
