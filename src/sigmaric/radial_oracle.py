@@ -10,6 +10,7 @@ shares no discretization machinery with it.
 
 from dataclasses import dataclass, field as dc_field
 from math import comb, log
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +29,12 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _MAX_NEWTON = 60  # Newton iterations per continuation step
+# step control: above _STEP_FLOOR a try whose line search must damp below
+# _MIN_DAMPING fails at once, and an accepted try of at most _FAST_ITERS
+# Newton iterations doubles the step
+_STEP_FLOOR = 1e-3
+_MIN_DAMPING = 0.25
+_FAST_ITERS = 4
 
 
 class BvpFailure(RuntimeError):
@@ -158,16 +165,16 @@ def _barycentric(xn, yn, xe):
     wgt = np.ones(n + 1)
     wgt[0] = wgt[-1] = 0.5
     wgt *= (-1.0) ** np.arange(n + 1)
-    out = np.empty_like(xe, dtype=float)
-    for i, xv in np.ndenumerate(xe):
-        d = xv - xn
-        hit = np.argmin(np.abs(d))
-        if abs(d[hit]) < 1e-14:
-            out[i] = yn[hit]
-            continue
-        t = wgt / d
-        out[i] = (t @ yn) / t.sum()
-    return out
+    d = xe[..., None] - xn
+    hit = np.argmin(np.abs(d), axis=-1)
+    nearest = np.take_along_axis(d, hit[..., None], axis=-1)[..., 0]
+    at_node = np.abs(nearest) < 1e-14
+    # rows that hit a node are masked out of both divisions; d is reused
+    # for the weights so that no second (points, nodes) array is held
+    d[at_node] = 1.0
+    t = np.divide(wgt, d, out=d)
+    den = np.where(at_node, 1.0, t.sum(axis=-1))
+    return np.where(at_node, yn[hit], (t @ yn) / den)
 
 
 def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
@@ -199,11 +206,28 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
       already at most max(100 tol, 1e-5); w is accepted.
 
     A Newton solve that stops by none of them within _MAX_NEWTON iterations,
-    or whose damping underflows above that bound, fails; the continuation
-    then halves its step and retries, predicting again from the same two
-    points, and raises BvpFailure, carrying the trace of the accepted
-    steps, once the step falls below 1e-6.
+    or whose damping underflows above that bound, fails.  While the
+    continuation step is above _STEP_FLOOR, a solve whose line search must
+    damp below _MIN_DAMPING fails at once instead of crawling (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2004); at or below the floor it
+    runs as above.  A failure halves the step and retries, predicting again
+    from the same two points, and raises BvpFailure, carrying the trace of
+    the accepted steps, once the step falls below 1e-6.  An accepted step
+    of at most _FAST_ITERS Newton iterations doubles the step, and after
+    every accepted step the step is cut to the rest of its phase, so a
+    halved retry never repeats the end point.
     """
+    for name, value in (("m", m), ("n", n)):
+        if not isinstance(value, Integral) or value < 2:
+            raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+    if not isinstance(k, Integral) or not 1 <= k <= m:
+        raise ValueError(f"k must be an integer in 1..m = {m}, got {k!r}")
+    for name, value in (("r0", r0), ("r1", r1), ("j1", j1), ("j0", j0)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (np.isfinite(rhs_scale) and rhs_scale > 0):
+        raise ValueError(
+            f"rhs_scale must be finite and > 0, got {rhs_scale!r}")
     if r0 < 0 or r1 <= r0:
         raise ValueError("need 0 <= r0 < r1")
     is_ball = r0 == 0.0
@@ -217,7 +241,8 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
     w = np.zeros(n + 1)
     trace = []
 
-    def newton(t, b1, b0, w):
+    def newton(t, b1, b0, w, reject_early):
+        s_min = _MIN_DAMPING if reject_early else 1e-8
         for it in range(_MAX_NEWTON):
             F, J = _collocation_system(
                 w, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball
@@ -239,7 +264,7 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
                 if ok and res_new <= floor:
                     return w + h, it + 1, res_new, "increment"
             s = 1.0
-            while s >= 1e-8:
+            while s >= s_min:
                 w_new = w + s * h
                 ok, res_new = _admissible_residual(
                     w_new, r, D, D2, t, k, m, rhs_scale, b1, b0, is_ball
@@ -248,6 +273,9 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
                     break
                 s *= 0.5
             else:
+                if reject_early:
+                    raise BvpFailure(f"damping below {s_min} at t={t:.4f}",
+                                     trace)
                 # backtracking found no descent direction: the iterate sits
                 # at the floor set by conditioning of the dense collocation
                 # system (or, for steep boundary layers, by the resolution).
@@ -279,7 +307,8 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
                                         b1, b0, is_ball)[0]:
                     start = guess
             try:
-                w_new, its, res, rule = newton(t, b1, b0, start)
+                w_new, its, res, rule = newton(t, b1, b0, start,
+                                               step > _STEP_FLOOR)
             except BvpFailure:
                 step *= 0.5
                 if step < 1e-6:
@@ -287,6 +316,9 @@ def bvp_solve(r0, r1, m, k, j1, j0=None, rhs_scale=1.0, n=96, tol=1e-10):
                 continue
             prev, w, s = (s, w), w_new, s_try
             trace.append((offset + s, its, res, rule))
+            if its <= _FAST_ITERS:
+                step *= 2.0
+            step = min(step, 1.0 - s)
     dw, d2w = D @ w, D2 @ w
     order = np.argsort(r)
     return RadialProfile(

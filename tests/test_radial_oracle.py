@@ -242,3 +242,114 @@ class TestBvpSolve:
     def test_annulus_requires_inner_datum(self):
         with pytest.raises(ValueError):
             bvp_solve(0.5, 1.0, m=3, k=1, j1=0.0)
+
+    def test_profile_interpolation_matches_pointwise_loop(self):
+        # the one-array barycentric formula against the point-at-a-time
+        # loop it replaced, exact node hits included
+        prof = bvp_solve(0.5, 1.0, m=4, k=3, j1=0.5, j0=0.0, n=48)
+        x, y = prof.r, prof.w
+        wgt = np.ones(x.size)
+        wgt[0] = wgt[-1] = 0.5
+        wgt *= (-1.0) ** np.arange(x.size)
+
+        def loop(xv):
+            d = xv - x
+            hit = np.argmin(np.abs(d))
+            if abs(d[hit]) < 1e-14:
+                return y[hit]
+            t = wgt / d
+            return (t @ y) / t.sum()
+
+        r_eval = np.concatenate([np.linspace(0.5, 1.0, 1025), x])
+        ref = np.array([loop(xv) for xv in r_eval])
+        got = prof.interp(r_eval)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(got[1025:], y)
+        grid = r_eval[:1024].reshape(32, 32)
+        assert np.array_equal(prof.interp(grid), got[:1024].reshape(32, 32))
+        assert prof.interp(0.75) == pytest.approx(loop(0.75), rel=1e-14)
+        assert prof.interp(x[3]) == y[3]
+
+
+class TestBvpInputs:
+    @pytest.mark.parametrize("name,kwargs", [
+        ("k", dict(k=0)),
+        ("k", dict(k=5)),
+        ("m", dict(m=1, k=1)),
+        ("n", dict(n=1)),
+        ("n", dict(n=16.5)),
+        ("r0", dict(r0=np.nan)),
+        ("r1", dict(r1=np.inf)),
+        ("j1", dict(j1=np.nan)),
+        ("j0", dict(j0=-np.inf)),
+        ("rhs_scale", dict(rhs_scale=np.nan)),
+        ("rhs_scale", dict(rhs_scale=0.0)),
+        ("rhs_scale", dict(rhs_scale=-1.0)),
+    ])
+    def test_rejected_before_newton(self, monkeypatch, name, kwargs):
+        def no_newton(*args):
+            raise AssertionError("Newton ran on a rejected input")
+
+        monkeypatch.setattr(radial_oracle, "_collocation_system", no_newton)
+        args = dict(r0=0.5, r1=1.0, m=4, k=3, j1=0.5, j0=0.0, n=16)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bvp_solve(**args)
+
+
+def _counted_solve(monkeypatch, *args, **kwargs):
+    """bvp_solve with its admissible-residual calls counted and the
+    continuation parameter t + b1/j1 of each Newton try recorded."""
+    calls = {"admissible": 0}
+    tries = []
+    system = radial_oracle._collocation_system
+    admissible = radial_oracle._admissible_residual
+
+    def recorded(w, *sys_args):
+        if not tries or tries[-1] != sys_args[3:]:
+            tries.append(sys_args[3:])  # a new (t, b1, b0)
+        return system(w, *sys_args)
+
+    def counted(*adm_args):
+        calls["admissible"] += 1
+        return admissible(*adm_args)
+
+    monkeypatch.setattr(radial_oracle, "_collocation_system", recorded)
+    monkeypatch.setattr(radial_oracle, "_admissible_residual", counted)
+    prof = bvp_solve(*args, **kwargs)
+    j1 = kwargs["j1"]
+    params = [t + b1 / j1 for t, _k, _m, _rs, b1, *_ in tries]
+    return prof, calls["admissible"], params
+
+
+class TestStepControl:
+    def test_annulus_ramp_rejects_instead_of_crawling(self, monkeypatch):
+        # before the step control the first data-ramp step crawled through
+        # 55 damped iterations, with 490 admissible calls for 104 Newton
+        # iterations
+        prof, admissible, _ = _counted_solve(
+            monkeypatch, 0.5, 1.0, m=4, k=3, j1=0.5, j0=0.0, n=48)
+        iters = [entry[1] for entry in prof.trace]
+        assert max(iters) <= 15
+        assert admissible <= 2.5 * sum(iters)
+
+    def test_slow_ramp_takes_few_steps(self, monkeypatch):
+        # halving without growth took 496 steps and 5904 admissible calls;
+        # a step floor of 0.01 left 5327, from deep backtracking below it
+        prof, admissible, _ = _counted_solve(
+            monkeypatch, 0.2, 1.0, m=5, k=3, j1=0.3, j0=0.0, n=40)
+        assert len(prof.trace) <= 100
+        assert admissible <= 600
+
+    def test_trace_holds_accepted_tries_only(self, monkeypatch):
+        # a try is rejected exactly when the next one starts at a smaller
+        # parameter; the trace lists the accepted ones, in order
+        prof, _, params = _counted_solve(
+            monkeypatch, 0.5, 1.0, m=4, k=3, j1=0.5, j0=0.0, n=48)
+        accepted = [p for p, nxt in zip(params, params[1:] + [np.inf])
+                    if nxt > p]
+        traced = [entry[0] for entry in prof.trace]
+        assert len(accepted) < len(params)
+        assert np.all(np.diff(traced) > 0)
+        assert np.allclose(traced, accepted, rtol=0, atol=1e-12)
+        assert traced[-1] == 2.0
