@@ -12,8 +12,9 @@ path is followed once on the finest grid instead.  Complete metrics are
 produced by exhaustion: Dirichlet solves with boundary constants
 j = 2, 4, ... on one path follower, each started from another order's
 rung or from the rung its boundary layer predicts, stopped when the
-solution stabilizes on a compact core, then an asymptotics fit of
-u + ln(distance).
+solution stabilizes on a compact core; the same boundary-layer line,
+read at j = infinity, gives the complete solution, and an asymptotics fit
+of u + ln(distance) its constant.
 
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
@@ -35,7 +36,7 @@ collocation oracle lives in radial_oracle and shares nothing with this
 module.
 
 Each iterate is evaluated once: the residual returns what it built
-besides F, the line search returns that with the point it accepts, and
+besides F, the line search keeps that with the point it accepts, and
 the Jacobian takes it.  Nothing is kept on a discretization, and Newton
 never changes an iterate in place.
 """
@@ -455,34 +456,20 @@ def _make_disc(config):
 # Newton core
 
 
-def _line_search(disc, u, h, res, t, bc, fvals, config, s=1.0):
-    """Halve the step s from 1 (or the given start) until u + s h stays in
-    the cone and lowers the residual (or meets tol); returns (u, F, res,
-    margin, built) at the accepted point, or None once s underflows 1e-8."""
-    while s >= 1e-8:
-        u_new = u + s * h
-        F_new, margin_new, built = disc.residual(u_new, t, bc, fvals)
-        res_new = np.max(np.abs(F_new))
-        if margin_new > CONE_MARGIN_MIN and (
-            res_new < res or res_new <= config.tol_residual
-        ):
-            return u_new, F_new, res_new, margin_new, built
-        s *= 0.5
-    return None
-
-
 def _damped_newton(disc, u, t, bc, fvals, config, trace):
     """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res,
     F, margin, rule), F, res = max|F| and margin being the residual
     evaluation at the returned u and rule the stop rule: ``residual``
     (res <= tol), ``increment`` (a full step below 1e-9 (1 + |u|) that
     stays in the cone) or ``damping-floor`` (no damped step lowers a
-    residual already at most max(100 tol, 1e-6)).  Each iterate is
-    evaluated once: the line search's evaluation of the point it accepts,
-    with what it built, serves the next iteration, and the build is
-    dropped before the linear solve, which gets the forcing term ETA_MAX,
-    then Eisenstat & Walker's (1996) choice 2 in the 2-norm, safeguarded,
-    capped at ETA_MAX and floored at max(0.5 tol / res, ETA_MIN)."""
+    residual already at most max(100 tol, 1e-6)).  The line search halves
+    s from 1 until u + s h stays in the cone and lowers the residual (or
+    meets tol), down to s = 1e-8.  Each iterate is evaluated once: the
+    line search's evaluation of the point it accepts, with what it built,
+    serves the next iteration, and the build is dropped before the linear
+    solve, which gets the forcing term ETA_MAX, then Eisenstat & Walker's
+    (1996) choice 2 in the 2-norm, safeguarded, capped at ETA_MAX and
+    floored at max(0.5 tol / res, ETA_MIN)."""
     tol, eta = config.tol_residual, ETA_MAX
     F, margin, built = disc.residual(u, t, bc, fvals)
     for it in range(MAX_NEWTON):
@@ -499,19 +486,23 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
         J, built = disc.jacobian(u, fvals, built), None
         h = _PrecondSolver().solve(J, -F, eta)
         del J  # its coefficients need not outlive the line search
-        s = 1.0
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is
         # the honest convergence measure there
-        if np.max(np.abs(h)) <= 1e-9 * (1.0 + np.max(np.abs(u))):
-            u_new = u + h
-            F_new, margin_new, _ = disc.residual(u_new, t, bc, fvals)
+        small = np.max(np.abs(h)) <= 1e-9 * (1.0 + np.max(np.abs(u)))
+        s = 1.0
+        while s >= 1e-8:
+            u_new = u + s * h
+            F_new, margin_new, built = disc.residual(u_new, t, bc, fvals)
+            res_new = np.max(np.abs(F_new))
             if margin_new > CONE_MARGIN_MIN:
-                return (u_new, it + 1, np.max(np.abs(F_new)), F_new,
-                        margin_new, "increment")
-            s = 0.5  # the full step, just evaluated, leaves the cone
-        step = _line_search(disc, u, h, res, t, bc, fvals, config, s)
-        if step is None:
+                if small and s == 1.0:
+                    return (u_new, it + 1, res_new, F_new, margin_new,
+                            "increment")
+                if res_new < res or res_new <= tol:
+                    break
+            s *= 0.5
+        else:
             # stagnation at the rounding floor of the linearized solve
             if res <= max(100.0 * tol, 1e-6) and margin > 0:
                 return u, it, res, F, margin, "damping-floor"
@@ -519,8 +510,7 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
                 trace,
             )
-        u, F, _, margin, built = step
-        del step  # it holds the build, which the linear solve must not
+        u, F, margin = u_new, F_new, margin_new
     raise ContinuationFailure(
         f"Newton did not converge at t={t:.4f}", trace
     )
@@ -719,15 +709,18 @@ def complete_grading(n):
     return float(np.exp(10.0 / (n - 1)))
 
 
-def _predict_rung(u, below):
-    """Rung j + J_STEP from rungs u (j) and below (j - J_STEP), or None.
+def _predict_rung(u, below, c=np.exp(-J_STEP)):
+    """-ln(a + c (a - b)), a = e^{-u} and b = e^{-below}, from rungs u (j)
+    and below (j - J_STEP), or None where the argument is not positive at
+    some node.
 
-    Near the boundary a rung is about -ln(d + c e^{-j}), so e^{-u_j} is
-    affine in e^{-j} up to O(e^{-2j}); the prediction extends that line
-    through the two rungs, and is None where its argument is not positive
-    at some node."""
+    Near the boundary a rung is about -ln(d + C e^{-j}), so e^{-u_j} is
+    affine in e^{-j} up to O(e^{-2j}).  The line through the two rungs is
+    read at e^{-j - J_STEP} with the default c = e^{-J_STEP}, the next
+    rung, and at e^{-j} = 0 with c = 1 / (e^{J_STEP} - 1), the complete
+    solution."""
     a, b = np.exp(-u), np.exp(-below)
-    arg = a + np.exp(-J_STEP) * (a - b)
+    arg = a + c * (a - b)
     return -np.log(arg) if np.all(arg > 0) else None
 
 
@@ -738,12 +731,15 @@ def solve_complete(config, warm=()):
     Dirichlet solves with boundary constants j = 2, 4, ... are warm-started
     from one another and stopped once the solution changes by at most
     CORE_TOL on the compact core or j reaches the resolution cap
-    max(J_STEP, -ln(5 h_min)).  The rung sequence converges geometrically
-    (ratio e^{-J_STEP} nodewise), so the limit is estimated by Aitken
-    extrapolation of the last three rungs; that removes the finite-j tail
-    and leaves the discretization error.  The returned state carries an
-    asymptotics report: the fitted constant of u + ln(distance) over a
-    near-boundary window, the window, and the fit residual; and its rungs.
+    max(J_STEP, -ln(5 h_min)).  Off the boundary, u is the line of
+    _predict_rung through the last two rungs read at e^{-j} = 0,
+    e^{-u} = a + (a - b) / (e^{J_STEP} - 1) with a = e^{-u_j} and
+    b = e^{-u_{j - J_STEP}}; boundary nodes keep the last rung's data,
+    j_final.  With one rung, or an argument not positive at some node off
+    the boundary, u is the last rung and tail_extrapolated is False.  The
+    returned state carries an asymptotics report: the fitted constant of
+    u + ln(distance) over a near-boundary window, the window, and the fit
+    residual; and its rungs.
     Rung ramps ride one follower, its secant and step carried from ramp to
     ramp.  Each ramp's first try, at (t = 1, bc = j), starts from a guess:
     warm's rung j when warm, the rungs [(j, u_j)] of another order on the
@@ -807,18 +803,18 @@ def solve_complete(config, warm=()):
         if delta_core <= CORE_TOL:
             break
 
-    extrapolated = len(rungs) >= 3
-    if extrapolated:
-        u2, u1, u0 = rungs[-3][1], rungs[-2][1], rungs[-1][1]
-        d1, d2 = u1 - u2, u0 - u1
-        safe = np.abs(d1) > 1e-14
-        q = np.where(safe, d2 / np.where(safe, d1, 1.0), 0.0)
-        q = np.clip(q, 0.0, 0.95)
-        u = u0 + d2 * q / (1.0 - q)
+    limit = None
+    if len(rungs) >= 2:
+        inner = ~grid.boundary
+        limit = _predict_rung(u[inner], rungs[-2][1][inner],
+                              1.0 / np.expm1(J_STEP))
+    if limit is not None:
+        u = u.copy()
+        u[inner] = limit
 
     report = _asymptotics_fit(grid, u, d, j, disc.h_min, disc.diameter,
                               config.k)
-    report["tail_extrapolated"] = extrapolated
+    report["tail_extrapolated"] = limit is not None
     report["j_final"] = j
     report["j_cap"] = j_cap
     report["core_delta"] = delta_core

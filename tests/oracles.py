@@ -3,10 +3,13 @@
 These deliberately avoid the code paths they check: Ricci tensors come from
 finite differences of Christoffel symbols of the full metric, Jacobians from
 centered differences of the nonlinear residual, with sigma_k from
-eigenvalues where the solvers use trace identities.  Stacks are
+eigenvalues where the solvers use trace identities, and complete solutions
+bracketed by closed-form ball solutions.  Stacks are
 component-major, as in conformal_ops: grad is (m, *nodes), hess and rho
 (m, m, *nodes).
 """
+
+from math import comb, log
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,3 +190,21 @@ def background_prescale(g, rho):
     Li = np.linalg.inv(np.linalg.cholesky(g))
     A = Li @ rho @ np.swapaxes(Li, -1, -2)
     return max(1.0, float(np.linalg.eigvalsh(A)[:, -1].max()))
+
+
+def complete_bracket(m, k, r, r0=0.0):
+    """Closed-form (lower, upper) bounds on the complete sigma_k solution
+    of a flat ball (r0 = 0) or annulus r0 < |x| < 1 in R^m, rhs factor and
+    scale 1, at nodes of radius r strictly inside.
+
+    A smaller domain has a larger complete solution (the comparison
+    principle of the exhaustion), and the ball of radius R has the
+    solution c - ln(R (1 - |y|^2 / R^2)) about its centre, with
+    c = ln 2 + ln(m - 1) / 2 + ln C(m, k) / (2k).  So the ball of radius
+    d(x) about x, inside the domain, gives the upper bound c - ln d(x), and
+    the unit ball, which holds the domain, the lower bound
+    c - ln(1 - |x|^2)."""
+    r = np.asarray(r, dtype=float)
+    d = 1.0 - r if r0 == 0.0 else np.minimum(1.0 - r, r - r0)
+    c = log(2.0) + 0.5 * log(m - 1) + log(comb(m, k)) / (2.0 * k)
+    return c - np.log1p(-r * r), c - np.log(d)

@@ -121,6 +121,13 @@ class TestBallFamily:
             # boundary node: zero up to the per-rung solver tolerance
             assert abs(h.values[0]) <= 1e-6
 
+    def test_Hk_at_discretization_level(self, family):
+        # every order's complete solution is the line through its last two
+        # rungs read at j = infinity, exact for the ball's boundary layer:
+        # max |H_k| is discretization error, with no spike from the layer
+        for h in compute_Hk(family):
+            assert np.max(np.abs(h.values)) <= 1e-5
+
     def test_detected_as_einstein(self, family):
         rep = detection_report(family)
         assert rep["is_einstein"]

@@ -10,6 +10,7 @@ import sigmaric.continuation_solver as cs
 from oracles import (
     background_prescale,
     box_homotopy_tensor,
+    complete_bracket,
     eigenvalues,
     manufactured_box,
 )
@@ -431,6 +432,10 @@ class TestCompleteGuess:
                            rung(6.0), rtol=0.0, atol=1e-13)
         # a prediction that is not a positive e^{-u} at some node: none
         assert cs._predict_rung(rung(4.0), rung(2.0) - 3.0) is None
+        # the same line at e^{-j} = 0 is the complete solution -ln A
+        limit = cs._predict_rung(rung(4.0), rung(2.0),
+                                 1.0 / np.expm1(cs.J_STEP))
+        assert np.allclose(limit, -np.log(A), rtol=0.0, atol=1e-13)
 
     def test_predicted_rungs_take_few_iterations(self):
         # the ramp to j = 4 is predicted from the j = 0 rung, the end of
@@ -492,6 +497,23 @@ class TestComplete:
         solve_complete(flat_config(grid, 2, rhs_factor=f))
         rung = [fv for b, fv in seen if b > cs.J_STEP]
         assert rung and all(np.array_equal(fv, f) for fv in rung)
+
+
+class TestCompleteBracket:
+    # every interior node of a complete solve lies between the closed-form
+    # ball bounds of oracles.complete_bracket, the last rung's boundary
+    # layer included; the boundary holds the last rung's data
+    @pytest.mark.parametrize("r0", [0.0, 0.3], ids=["ball", "annulus"])
+    def test_interior_within_bracket(self, r0):
+        n = 1025
+        grid = make_radial_grid(r0, 1.0, n, m=3, grading=complete_grading(n),
+                                cluster="both" if r0 else "outer")
+        state = solve_complete(flat_config(grid, 3))
+        u, inner = state.u.values, ~grid.boundary
+        lower, upper = complete_bracket(3, 3, grid.nodes[inner], r0)
+        assert np.max(u[inner] - upper) <= 1e-4
+        assert np.max(lower - u[inner]) <= 1e-4
+        assert np.all(u[grid.boundary] == state.asymptotics["j_final"])
 
 
 def random_rho(grid, seed, size=1.0):
