@@ -111,9 +111,11 @@ def solve_family(setup):
     Every member uses rhs_scale = beta_tilde(k, n) on the same grid, so the
     model Einstein representative solves all of them with one and the same
     exponent.  A conformally flat background is reduced exactly to a flat
-    solve of v = w + phi and phi is subtracted afterwards.  Order k + 1
-    starts from order k's rungs (solve_complete's warm); on the ball, whose
-    orders share one exact solution, each rung then takes 1-2 iterations.
+    solve of v = w + phi and phi is subtracted afterwards.  Order 1 starts
+    cold (on radial grids from solve_complete's closed-form ball barrier),
+    and order k + 1 from order k's rungs (solve_complete's warm); on the
+    ball, whose orders share one exact solution, each rung then takes 1-2
+    iterations.
     """
     grid = setup.grid
     m = setup.n + 1

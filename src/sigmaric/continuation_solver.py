@@ -14,7 +14,14 @@ j = 2, 4, ... on one path follower, each started from another order's
 rung or from the rung its boundary layer predicts, stopped when the
 solution stabilizes on a compact core; the same boundary-layer line,
 read at j = infinity, gives the complete solution, and an asymptotics fit
-of u + ln(distance) its constant.
+of u + ln(distance) its constant.  On a flat radial grid with rhs factor
+1 the first rung starts, in place of the t-homotopy, from the complete
+solution of a ball holding the domain, which solves the equation exactly
+(Loewner & Nirenberg 1974 for k = 1), and the same closed form at j = 0
+is the rung below it; the t-homotopy stays as the fallback and for
+curved backgrounds.  On radial grids Newton accepts an iterate that no
+damped step improves once its residual is at the rounding floor of the
+assembled Jacobian.
 
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
@@ -42,7 +49,7 @@ never changes an iterate in place.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
-from math import comb, log
+from math import comb, exp, log, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +107,7 @@ CORE_TOL = 1e-6  # core change at which the exhaustion rungs stop
 J_STEP = 2.0  # boundary constant of the first rung and step between rungs
 MAX_RUNGS = 40  # exhaustion rungs after the first
 NEST_FLOOR = 5  # fewest nodes per axis on a coarser nested Dirichlet grid
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -462,14 +470,17 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
     evaluation at the returned u and rule the stop rule: ``residual``
     (res <= tol), ``increment`` (a full step below 1e-9 (1 + |u|) that
     stays in the cone) or ``damping-floor`` (no damped step lowers a
-    residual already at most max(100 tol, 1e-6)).  The line search halves
-    s from 1 until u + s h stays in the cone and lowers the residual (or
-    meets tol), down to s = 1e-8.  Each iterate is evaluated once: the
-    line search's evaluation of the point it accepts, with what it built,
-    serves the next iteration, and the build is dropped before the linear
-    solve, which gets the forcing term ETA_MAX, then Eisenstat & Walker's
-    (1996) choice 2 in the 2-norm, safeguarded, capped at ETA_MAX and
-    floored at max(0.5 tol / res, ETA_MIN)."""
+    residual already at most max(100 tol, 1e-6) or, where J is assembled
+    (radial grids), the rounding floor eps |J|_inf (1 + |u|_inf), which
+    strong grading lifts far above tol; box Jacobians are never assembled
+    and keep the first bound).  The line search halves s from 1 until
+    u + s h stays in the cone and lowers the residual (or meets tol), down
+    to s = 1e-8.  Each iterate is evaluated once: the line search's
+    evaluation of the point it accepts, with what it built, serves the
+    next iteration, and the build is dropped before the linear solve,
+    which gets the forcing term ETA_MAX, then Eisenstat & Walker's (1996)
+    choice 2 in the 2-norm, safeguarded, capped at ETA_MAX and floored at
+    max(0.5 tol / res, ETA_MIN)."""
     tol, eta = config.tol_residual, ETA_MAX
     F, margin, built = disc.residual(u, t, bc, fvals)
     for it in range(MAX_NEWTON):
@@ -485,7 +496,9 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
         norm_prev = norm
         J, built = disc.jacobian(u, fvals, built), None
         h = _PrecondSolver().solve(J, -F, eta)
-        del J  # its coefficients need not outlive the line search
+        # a box J's coefficients need not outlive the line search; an
+        # assembled J is kept for the rounding floor should it fail
+        J = J if sp.issparse(J) else None
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is
         # the honest convergence measure there
@@ -503,8 +516,13 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
                     break
             s *= 0.5
         else:
-            # stagnation at the rounding floor of the linearized solve
-            if res <= max(100.0 * tol, 1e-6) and margin > 0:
+            # stagnation at the rounding floor of the linearized solve:
+            # forming J @ u alone rounds to about eps |J| |u|
+            floor = max(100.0 * tol, 1e-6)
+            if J is not None:
+                floor = max(floor, _EPS * spla.norm(J, np.inf)
+                            * (1.0 + np.max(np.abs(u))))
+            if res <= floor and margin > 0:
                 return u, it, res, F, margin, "damping-floor"
             raise ContinuationFailure(
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
@@ -724,6 +742,48 @@ def _predict_rung(u, below, c=np.exp(-J_STEP)):
     return -np.log(arg) if np.all(arg > 0) else None
 
 
+def _einstein_constant(m, k, rhs_scale):
+    """1/2 ln(m - 1) + (ln C(m, k) - ln rhs_scale) / (2k): the constant of
+    u + ln(distance) at the boundary of a flat complete solution, read off
+    the hyperbolic metric scaled to sigma_k = rhs_scale e^{2ku}."""
+    return 0.5 * log(m - 1) + (log(comb(m, k)) - log(rhs_scale)) / (2.0 * k)
+
+
+def _ball_barrier(grid, c, j):
+    """c - ln((R^2 - r^2) / R) at the nodes: the complete solution of the
+    flat ball of radius R about the centre, with R > r1 chosen so that it
+    reads j at r1, R = (a + sqrt(a^2 + 4 r1^2)) / 2 with a = e^{c - j}."""
+    a = exp(c - j)
+    R = 0.5 * (a + sqrt(a * a + 4.0 * grid.r1**2))
+    return c - np.log((R * R - grid.nodes**2) / R)
+
+
+def _barrier_start(disc, config, j, fvals, trace):
+    """The rung at data j from the ball barrier, on a flat radial grid
+    with rhs factor 1; returns (u, res, margin, below).
+
+    The barrier w (_ball_barrier at j, with c = ln 2 + _einstein_constant)
+    solves the equation exactly for its own boundary values, so it lies in
+    the cone.  It is polished by damped Newton at those values, recorded
+    as ("ramp", 0.0, its, res, rule), its data on the sphere r1 set to
+    exactly j; on an annulus the inner data are then ramped to j.  below
+    is the closed-form barrier at j = 0, the rung _predict_rung takes below
+    j.  Raises ContinuationFailure if the polish or the ramp fails."""
+    grid = disc.grid
+    c = log(2.0) + _einstein_constant(grid.m, config.k, config.rhs_scale)
+    w = _ball_barrier(grid, c, j)
+    w[-1] = j  # the node at r1
+    bc_w, bc = _boundary_values(grid, w), _boundary_values(grid, j)
+    u, its, res, F, margin, rule = _damped_newton(disc, w, 1.0, bc_w, fvals,
+                                                  config, trace)
+    trace.append(("ramp", 0.0, its, res, rule))
+    if not np.array_equal(bc_w, bc):
+        u, F, margin, _ = _follow(
+            disc, u, config, trace, "ramp",
+            lambda s: (1.0, (1.0 - s) * bc_w + s * bc, fvals))
+    return u, np.max(np.abs(F)), margin, _ball_barrier(grid, c, 0.0)
+
+
 def solve_complete(config, warm=()):
     """Complete (infinite boundary data) solve by exhaustion; the
     config's boundary_data is not used.
@@ -738,18 +798,27 @@ def solve_complete(config, warm=()):
     j_final.  With one rung, or an argument not positive at some node off
     the boundary, u is the last rung and tail_extrapolated is False.  The
     returned state carries an asymptotics report: the fitted constant of
-    u + ln(distance) over a near-boundary window, the window, and the fit
-    residual; and its rungs.
-    Rung ramps ride one follower, its secant and step carried from ramp to
-    ramp.  Each ramp's first try, at (t = 1, bc = j), starts from a guess:
-    warm's rung j when warm, the rungs [(j, u_j)] of another order on the
-    same grid, holds one; else the rung the boundary layer predicts from
-    the two rungs before it (_predict_rung: near the boundary a rung is
-    about -ln(d + c e^{-j})), the rung j = 0 being the end of the
-    t-continuation when the rhs factor is 1.  With no guess (no rung below,
-    or a prediction that is not a positive e^{-u} at some node) the ramp
-    starts from the secant.  If the guessed try fails, rung j = 2 falls back
-    to the t-continuation, a later one to the halving.
+    u + ln(distance) over a near-boundary window, the window, the fit
+    residual and the reference _einstein_constant; and its rungs.
+
+    The rung j = 2 is, in this order: warm's rung j = 2 polished by Newton
+    at (t = 1, bc = j), when warm, the rungs [(j, u_j)] of another order on
+    the same grid, holds it and that Newton converges; else, on a flat
+    radial background with rhs factor 1, the ball barrier (_barrier_start:
+    the complete solution of a larger ball, polished at its own boundary
+    values, then on an annulus ramped to j); else, or if that fails, the
+    t-continuation from u = 0 with a ramp of the data to j, whose trace
+    follows what a failed barrier start recorded.
+    Later rung ramps ride one follower, its secant and step carried from
+    ramp to ramp.  Each ramp's first try, at (t = 1, bc = j), starts from a
+    guess: warm's rung j when warm holds one; else the rung the boundary
+    layer predicts from the two rungs before it (_predict_rung: near the
+    boundary a rung is about -ln(d + c e^{-j})).  The rung j = 0 is the
+    closed-form barrier at j = 0 after a barrier start, the end of the
+    t-phase after a t-continuation with rhs factor 1, and none otherwise.
+    With no guess (no rung below, or a prediction that is not a positive
+    e^{-u} at some node) the ramp starts from the secant; a failed guess
+    falls back to the halving.
     """
     grid = config.grid
     disc = _make_disc(config)
@@ -769,10 +838,19 @@ def solve_complete(config, warm=()):
             trace.append(("ramp", 1.0, its, res, rule))
         except ContinuationFailure:
             pass  # the cold path below
+    unit_factor = np.all(fvals == 1.0)
+    if (u is None and unit_factor and isinstance(grid, RadialGrid)
+            and config.background.kind == "flat"):
+        try:
+            u, res, margin, below = _barrier_start(disc, config, j, fvals,
+                                                   trace)
+        except ContinuationFailure:
+            pass  # the cold path below, after what the barrier recorded
     if u is None:
-        u, res, margin, trace, path, u_t = _continuation(disc, config, bc,
-                                                         fvals)
-        if np.all(fvals == 1.0):
+        u, res, margin, cold, path, u_t = _continuation(disc, config, bc,
+                                                        fvals)
+        trace = trace + cold
+        if unit_factor:
             below = u_t  # the rung j = 0
     rungs = [(j, u)]
     u_prev, delta_core = u, None
@@ -813,7 +891,7 @@ def solve_complete(config, warm=()):
         u[inner] = limit
 
     report = _asymptotics_fit(grid, u, d, j, disc.h_min, disc.diameter,
-                              config.k)
+                              config.k, config.rhs_scale)
     report["tail_extrapolated"] = limit is not None
     report["j_final"] = j
     report["j_cap"] = j_cap
@@ -829,7 +907,7 @@ def solve_complete(config, warm=()):
     )
 
 
-def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k):
+def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
     """Fit the constant of u + ln(distance) near the boundary.
 
     The window [1e3, 1e4] e^{-j_final} sits far enough outside the
@@ -851,15 +929,13 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k):
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     const = float(coef[0])
     fit_res = float(np.abs(A @ coef - vals).max())
-    m = grid.m
-    half_log = 0.5 * log(m - 1)
-    pure = half_log + log(comb(m, k)) / (2.0 * k)
+    half_log = 0.5 * log(grid.m - 1)
     return {
         "constant": const,
         "window": (float(lo), float(hi)),
         "fit_residual": fit_res,
         "n_window_nodes": int(sel.sum()),
         "half_log_reference": half_log,
-        "einstein_reference": pure,
+        "einstein_reference": _einstein_constant(grid.m, k, rhs_scale),
         "matches_half_log": bool(abs(const - half_log) <= 1e-2),
     }

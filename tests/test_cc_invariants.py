@@ -116,9 +116,14 @@ class TestBallFamily:
             assert np.max(np.abs(w.values[core] - hyp)) < 1e-3
 
     def test_Hk_small_and_zero_on_boundary(self, family):
+        # every order stops at the same j_final and holds it on the
+        # boundary node, the last one, so H_k is exactly 0 there; the
+        # centre r = 0, the first node, is discretization error only
+        j_final = {st.asymptotics["j_final"] for st in family.states}
+        assert len(j_final) == 1
         for h in compute_Hk(family):
             assert np.max(np.abs(h.values)) <= 1e-3
-            # boundary node: zero up to the per-rung solver tolerance
+            assert h.values[-1] == 0.0
             assert abs(h.values[0]) <= 1e-6
 
     def test_Hk_at_discretization_level(self, family):
@@ -181,10 +186,11 @@ class TestWarmFamily:
             assert (state.asymptotics["j_final"]
                     == cold.asymptotics["j_final"])
 
-    # on the ball every order has the same exact solution, so a warm
-    # order takes at most half the cold first order's iterations (a silent
-    # fallback to the cold path fails this), and every Newton solve is
-    # recorded: the trace counts one iteration per Jacobian
+    # on the ball every order has the same exact solution: order 1 starts
+    # from the ball barrier, and each later order from its warm rungs
+    # alone, with no t-continuation and no barrier polish (a silent
+    # fallback fails this); every Newton solve is recorded: the trace
+    # counts one iteration per Jacobian
     def test_ball_warm_orders(self, monkeypatch):
         jacobians = [0]
         jacobian = cs._RadialDisc.jacobian
@@ -195,9 +201,26 @@ class TestWarmFamily:
 
         monkeypatch.setattr(cs._RadialDisc, "jacobian", counted)
         family = solve_family(ball_setup(nodes=97))
+        first, *warm = [state.trace for state in family.states]
+        assert first[0][:2] == ("ramp", 0.0)
+        assert not any(e[0] == "t" for e in first)
+        for trace in warm:
+            assert trace[0][:2] == ("ramp", 1.0)
+            assert not any(e[0] == "t" or e[:2] == ("ramp", 0.0)
+                           for e in trace)
         its = [newton_iterations(state) for state in family.states]
-        assert all(2 * i <= its[0] for i in its[1:])
         assert sum(its) == jacobians[0]
+
+    # on the 384-node annulus a warm try stalls at the grid's rounding
+    # floor, above 1e-6 (100 tol) but far below the floor eps |J| (1 + |u|)
+    # of the graded stencils: Newton accepts it, so no order after the
+    # first reruns the t-continuation
+    def test_annulus_warm_orders_accepted_at_the_floor(self, annulus_family):
+        for state in annulus_family.states[1:]:
+            assert not any(e[0] == "t" for e in state.trace)
+        floor = [e for st in annulus_family.states[1:] for e in st.trace
+                 if e[0] == "ramp" and e[4] == "damping-floor"]
+        assert any(e[3] > 1e-6 for e in floor)
 
 
 class TestInvariance:

@@ -464,6 +464,18 @@ class TestSubcommands:
                                                 abs=1e-2)
         assert fit["matches_half_log"]
 
+    def test_einstein_reference_carries_the_rhs_scale(self, tmp_path):
+        # sigma_k = 4 e^{2ku} shifts the constant of u + ln d by
+        # -ln(4) / (2k) from the rhs_scale 1 value, ln(2) / 2 at m = k = 3
+        out = tmp_path / "r.json"
+        rc = main(["solve-complete", "--dim", "3", "--k", "3",
+                   "--rhs-scale", "4", "--grid", "512", "--out", str(out)])
+        assert rc == 0
+        fit = json.loads(out.read_text())["result"]["asymptotics"]
+        assert fit["einstein_reference"] == pytest.approx(
+            0.5 * np.log(2.0) - np.log(4.0) / 6.0, abs=1e-14)
+        assert abs(fit["constant"] - fit["einstein_reference"]) <= 1e-4
+
     def test_asymptotics_prints_constant(self, capsys):
         rc = main(["asymptotics", "--dim", "3", "--k", "1",
                    "--domain", "ball", "--grid", "512"])

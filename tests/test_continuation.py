@@ -438,8 +438,8 @@ class TestCompleteGuess:
         assert np.allclose(limit, -np.log(A), rtol=0.0, atol=1e-13)
 
     def test_predicted_rungs_take_few_iterations(self):
-        # the ramp to j = 4 is predicted from the j = 0 rung, the end of
-        # the t-phase, and accepted whole; each later ramp, predicted from
+        # the ramp to j = 4 is predicted from the j = 0 rung, the closed-form
+        # ball barrier, and accepted whole; each later ramp, predicted from
         # the two rungs before it, takes at most 4 Newton iterations (13,
         # 16 and 15 from the secant alone)
         n = 257
@@ -456,8 +456,9 @@ class TestCompleteGuess:
         for j in (6.0, 8.0, 10.0):
             assert [e[:2] for e in ramps[j]] == [("ramp", 1.0)]
             assert ramps[j][0][2] <= 4
-        # the j = 2 ramp's last step, then the j = 4 ramp in one step
-        assert [e[:2] for e in ramps[4.0][-2:]] == [("ramp", 1.0)] * 2
+        # the barrier's polish at its own data, which on the ball are
+        # j = 2 already, then the j = 4 ramp in one step
+        assert [e[:2] for e in ramps[4.0]] == [("ramp", 0.0), ("ramp", 1.0)]
 
 
 class TestComplete:
@@ -514,6 +515,68 @@ class TestCompleteBracket:
         assert np.max(u[inner] - upper) <= 1e-4
         assert np.max(lower - u[inner]) <= 1e-4
         assert np.all(u[grid.boundary] == state.asymptotics["j_final"])
+
+
+def _no_barrier(*args):
+    raise cs.ContinuationFailure("barrier start refused")
+
+
+def _complete_grid(m, n, r0):
+    return make_radial_grid(r0, 1.0, n, m=m, grading=complete_grading(n),
+                            cluster="both" if r0 else "outer")
+
+
+class TestBarrierStart:
+    # a cold flat radial solve with rhs factor 1 starts from the complete
+    # solution of a larger ball, polished at its own data and recorded as
+    # ("ramp", 0.0, ...), with no t-continuation; it must reach the solve
+    # the t-continuation reaches when the barrier start is refused
+    @pytest.mark.parametrize("r0", [0.0, 0.5], ids=["ball", "annulus"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_t_continuation(self, monkeypatch, r0, k):
+        cfg = flat_config(_complete_grid(3, 1025, r0), k)
+        state = solve_complete(cfg)
+        assert state.trace[0][:2] == ("ramp", 0.0)
+        assert not any(e[0] == "t" for e in state.trace)
+        monkeypatch.setattr(cs, "_barrier_start", _no_barrier)
+        cold = solve_complete(cfg)
+        assert cold.trace[0][0] == "t"
+        assert np.max(np.abs(state.u.values - cold.u.values)) <= 1e-9
+        assert (state.asymptotics["j_final"]
+                == cold.asymptotics["j_final"])
+
+    def test_barrier_reads_j_on_the_sphere(self):
+        grid = _complete_grid(4, 33, 0.5)
+        for c, j in ((0.3, 2.0), (1.1, 0.0), (-0.5, 6.0)):
+            w = cs._ball_barrier(grid, c, j)
+            assert w[-1] == pytest.approx(j, abs=1e-11)
+            assert np.all(np.diff(w) > 0)
+
+    def test_refused_barrier_falls_back(self):
+        # on this coarse two-sided annulus the barrier leaves the discrete
+        # cone next to r0 and its polish fails: the solve falls back to the
+        # t-continuation and still lies in the shifted closed-form bracket
+        m, k, r0 = 4, 3, 0.5
+        grid = _complete_grid(m, 384, r0)
+        scale = float(comb(m, k) * (m - 1) ** k)
+        state = solve_complete(flat_config(grid, k, rhs_scale=scale))
+        assert state.trace[0][0] == "t"
+        assert state.cone_margin > 0
+        u, inner = state.u.values, ~grid.boundary
+        lower, upper = complete_bracket(m, k, grid.nodes[inner], r0)
+        shift = -np.log(scale) / (2 * k)
+        assert np.max(u[inner] - upper - shift) <= 1e-4
+        assert np.max(lower + shift - u[inner]) <= 1e-4
+        rep = state.asymptotics
+        assert abs(rep["constant"] - rep["einstein_reference"]) <= 1e-3
+
+    def test_weighted_solves_keep_the_t_continuation(self):
+        # the barrier solves the equation only with rhs factor 1
+        grid = _complete_grid(3, 129, 0.0)
+        state = solve_complete(flat_config(
+            grid, 2, rhs_factor=1.0 + 0.2 * grid.nodes**2))
+        assert state.trace[0][0] == "t"
+        assert not any(e[:2] == ("ramp", 0.0) for e in state.trace)
 
 
 def random_rho(grid, seed, size=1.0):
