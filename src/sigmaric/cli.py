@@ -638,8 +638,7 @@ def main(argv=None):
     elif cfg["command"] == "asymptotics":
         fit = result["asymptotics"]
         print(f"constant {fit['constant']:.6f} "
-              f"(einstein reference {fit['einstein_reference']:.6f}, "
-              f"half-log reference {fit['half_log_reference']:.6f})")
+              f"(einstein reference {fit['einstein_reference']:.6f})")
     else:
         res = result.get("residual_norm", result.get("residual"))
         if res is not None:

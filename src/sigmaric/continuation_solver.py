@@ -10,18 +10,18 @@ below, prolonged by cubic midpoint interpolation (mesh independence:
 Allgower, Boehmer, Potra & Rheinboldt 1986).  If any level fails, the
 path is followed once on the finest grid instead.  Complete metrics are
 produced by exhaustion: Dirichlet solves with boundary constants
-j = 2, 4, ... on one path follower, each started from another order's
-rung or from the rung its boundary layer predicts, stopped when the
-solution stabilizes on a compact core; the same boundary-layer line,
+j = 2, 4, ..., each ramped from the rung below and started from another
+order's rung or from the rung its boundary layer predicts, stopped when
+the solution stabilizes on a compact core; the same boundary-layer line,
 read at j = infinity, gives the complete solution, and an asymptotics fit
 of u + ln(distance) its constant.  On a flat radial grid with rhs factor
 1 the first rung starts, in place of the t-homotopy, from the complete
 solution of a ball holding the domain, which solves the equation exactly
 (Loewner & Nirenberg 1974 for k = 1), and the same closed form at j = 0
 is the rung below it; the t-homotopy stays as the fallback and for
-curved backgrounds.  On radial grids Newton accepts an iterate that no
-damped step improves once its residual is at the rounding floor of the
-assembled Jacobian.
+curved backgrounds.  On radial grids Newton accepts an iterate that its
+full step does not improve once its residual is at the rounding floor of
+the assembled Jacobian.
 
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
@@ -32,15 +32,14 @@ differences on slices of the node array at the PDE rows, sigma_j and the
 Newton transform from one Faddeev-LeVerrier pass).  Box Jacobians are
 never assembled: GMRES, preconditioned by the fast diagonalization
 method, sees only their products and solves each Newton step only to an
-Eisenstat-Walker forcing term (inexact Newton-Krylov, Knoll & Keyes
-2004).  Boxes build W_t and the Jacobian coefficients with the batched
-kernel of conformal_ops, which the oracle tests check, component-major
-(matrix indices first, interior axes last) and straight off the
-derivative slices; radial grids reduce W_t to its two distinct
-eigenvalues.  Both take their anchor
-from conformal_ops and sigma_j from symfun.  The independent Chebyshev
-collocation oracle lives in radial_oracle and shares nothing with this
-module.
+Eisenstat-Walker forcing term, as its own convergence flag reports
+(inexact Newton-Krylov, Knoll & Keyes 2004).  Boxes build W_t and the
+Jacobian coefficients with the batched kernel of conformal_ops, which the
+oracle tests check, component-major (matrix indices first, interior axes
+last) and straight off the derivative slices; radial grids reduce W_t to
+its two distinct eigenvalues.  Both take their anchor from conformal_ops
+and sigma_j from symfun.  The independent Chebyshev collocation oracle
+lives in radial_oracle and shares nothing with this module.
 
 Each iterate is evaluated once: the residual returns what it built
 besides F, the line search keeps that with the point it accepts, and
@@ -428,8 +427,9 @@ class _PrecondSolver:
 
     Radial Jacobians are banded and factor exactly by sparse LU, ignoring
     the forcing term eta.  Box Jacobians are operators: GMRES, preconditioned
-    by fast diagonalization, runs to |J x - b|_2 <= eta |b|_2 and retries
-    once, warm, unless the true residual meets that or the rounding floor.
+    by fast diagonalization, runs to |J x - b|_2 <= eta |b|_2, judged by its
+    own convergence flag, and runs once more, warm, only if that flag says
+    it did not get there.
     """
 
     def solve(self, J, b, eta=ETA_MIN):
@@ -438,17 +438,10 @@ class _PrecondSolver:
         shape = (b.size, b.size)
         A = spla.LinearOperator(shape, matvec=J.matvec, dtype=float)
         M = spla.LinearOperator(shape, matvec=J.precondition, dtype=float)
-        floor = 1e-8 * max(1.0, np.max(np.abs(b)))
-        x = None
-        for _ in range(2):
-            x, _ = spla.gmres(A, b, x0=x, M=M, rtol=eta, atol=0.0,
-                              restart=100, maxiter=10)
-            # judge by the true residual; rounding can keep the internal
-            # criterion from being met even after full convergence
-            r = J.matvec(x) - b
-            if (np.linalg.norm(r) <= eta * np.linalg.norm(b)
-                    or np.max(np.abs(r)) <= floor):
-                break
+        options = dict(M=M, rtol=eta, atol=0.0, restart=100, maxiter=10)
+        x, info = spla.gmres(A, b, **options)
+        if info:
+            x, _ = spla.gmres(A, b, x0=x, **options)
         return x
 
 
@@ -467,20 +460,20 @@ def _make_disc(config):
 def _damped_newton(disc, u, t, bc, fvals, config, trace):
     """Damped Newton at fixed (t, bc, fvals); returns (u, iterations, res,
     F, margin, rule), F, res = max|F| and margin being the residual
-    evaluation at the returned u and rule the stop rule: ``residual``
-    (res <= tol), ``increment`` (a full step below 1e-9 (1 + |u|) that
-    stays in the cone) or ``damping-floor`` (no damped step lowers a
-    residual already at most max(100 tol, 1e-6) or, where J is assembled
-    (radial grids), the rounding floor eps |J|_inf (1 + |u|_inf), which
-    strong grading lifts far above tol; box Jacobians are never assembled
-    and keep the first bound).  The line search halves s from 1 until
-    u + s h stays in the cone and lowers the residual (or meets tol), down
-    to s = 1e-8.  Each iterate is evaluated once: the line search's
-    evaluation of the point it accepts, with what it built, serves the
-    next iteration, and the build is dropped before the linear solve,
-    which gets the forcing term ETA_MAX, then Eisenstat & Walker's (1996)
-    choice 2 in the 2-norm, safeguarded, capped at ETA_MAX and floored at
-    max(0.5 tol / res, ETA_MIN)."""
+    evaluation at the returned u, iterations the Jacobians assembled and
+    solved, and rule the stop rule: ``residual`` (res <= tol),
+    ``increment`` (a full step below 1e-9 (1 + |u|) that stays in the
+    cone) or ``damping-floor`` (the full step fails to lower a residual
+    already at the rounding floor eps |J|_inf (1 + |u|_inf) of an assembled
+    J, which strong grading on radial grids lifts far above tol; box
+    Jacobians are never assembled and have no such stop).  The line search
+    halves s from 1 until u + s h stays in the cone and lowers the residual
+    (or meets tol), down to s = 1e-8.  Each iterate is evaluated once: the
+    line search's evaluation of the point it accepts, with what it built,
+    serves the next iteration, and the build is dropped before the linear
+    solve, which gets the forcing term ETA_MAX, then Eisenstat & Walker's
+    (1996) choice 2 in the 2-norm, safeguarded, capped at ETA_MAX and
+    floored at max(0.5 tol / res, ETA_MIN)."""
     tol, eta = config.tol_residual, ETA_MAX
     F, margin, built = disc.residual(u, t, bc, fvals)
     for it in range(MAX_NEWTON):
@@ -497,7 +490,8 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
         J, built = disc.jacobian(u, fvals, built), None
         h = _PrecondSolver().solve(J, -F, eta)
         # a box J's coefficients need not outlive the line search; an
-        # assembled J is kept for the rounding floor should it fail
+        # assembled J is kept for the rounding floor should the full step
+        # fail
         J = J if sp.issparse(J) else None
         # on strongly graded grids roundoff in the 1/h^2 stencils floors
         # the attainable residual well above tol; the Newton increment is
@@ -514,16 +508,14 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
                             "increment")
                 if res_new < res or res_new <= tol:
                     break
-            s *= 0.5
-        else:
             # stagnation at the rounding floor of the linearized solve:
             # forming J @ u alone rounds to about eps |J| |u|
-            floor = max(100.0 * tol, 1e-6)
-            if J is not None:
-                floor = max(floor, _EPS * spla.norm(J, np.inf)
-                            * (1.0 + np.max(np.abs(u))))
-            if res <= floor and margin > 0:
-                return u, it, res, F, margin, "damping-floor"
+            if (s == 1.0 and J is not None and margin > 0
+                    and res <= _EPS * spla.norm(J, np.inf)
+                    * (1.0 + np.max(np.abs(u)))):
+                return u, it + 1, res, F, margin, "damping-floor"
+            s *= 0.5
+        else:
             raise ContinuationFailure(
                 f"damping underflow at t={t:.4f}, residual {res:.2e}",
                 trace,
@@ -534,24 +526,22 @@ def _damped_newton(disc, u, t, bc, fvals, config, trace):
     )
 
 
-def _follow(disc, u, config, trace, label, data, path=None, guess=None):
+def _follow(disc, u, config, trace, label, data, step=T_STEP_INIT,
+            guess=None):
     """Follow s: 0 -> 1 by damped Newton on data(s) = (t, bc, fvals).
 
-    Newton for s_try starts from the secant predictor through the last
-    two accepted points (s0, u0) and (s1, u1),
-    u1 + (s_try - s1) / (s1 - s0) (u1 - u0); the first step of the phase,
-    with one point, starts from u1.  The start need not lie in the cone:
+    step is the first and largest step.  Newton for s_try starts from
+    guess, if given, at the first try; else from the secant predictor
+    through the last two accepted points (s0, u0) and (s1, u1) of this
+    phase, u1 + (s_try - s1) / (s1 - s0) (u1 - u0), or from u1 while the
+    phase has one point.  The start need not lie in the cone:
     _damped_newton only returns cone-safe iterates.  A failed step is
     retried at half the size, predicted again from the same points; two
-    successes double it up to T_STEP_INIT.  Each accepted step appends
-    (label, s, its, res, rule).  path, from the phase before (same length),
-    holds its last secant point, at s - 1 here (or None), and its step,
-    which may then grow to the whole phase; guess predicts a try at s = 1.
-    Returns u with F and the cone margin at (u, data(1)), and the path on.
+    successes double it up to the first step.  Each accepted step appends
+    (label, s, its, res, rule).  Returns u with F and the cone margin at
+    (u, data(1)).
     """
-    s, streak, cap = 0.0, 0, T_STEP_INIT if path is None else 1.0
-    prev, step = path or (None, T_STEP_INIT)  # prev: accepted before (s, u)
-    step = 1.0 if guess is not None else step
+    s, streak, prev, cap = 0.0, 0, None, step  # prev: (s, u) accepted
     while s < 1.0:
         s_try = min(1.0, s + step)
         t, bc, fvals = data(s_try)
@@ -575,25 +565,25 @@ def _follow(disc, u, config, trace, label, data, path=None, guess=None):
         streak += 1
         if streak >= 2:
             step = min(2.0 * step, cap)
-    return u, F, margin, ((prev[0] - 1.0, prev[1]), step)
+    return u, F, margin
 
 
 def _continuation(disc, config, bc_target, f_target):
     """t: 0 -> 1 from u = 0 at zero data, then ramp boundary data and rhs
     factor.  The last phase ends at data(1) = (1, bc_target, f_target), so
-    its final residual evaluation is the one returned, with its path and
-    the end of the t-phase, the solution at (1, 0, 1)."""
+    its final residual evaluation is the one returned, with the end of the
+    t-phase, the solution at (1, 0, 1): (u, res, margin, trace, u_t)."""
     trace = []
     n = disc.grid.n
     bc0, ones = np.zeros(n), np.ones(n)
-    u, F, margin, path = _follow(disc, np.zeros(n), config, trace, "t",
-                                 lambda s: (s, bc0, ones))
+    u, F, margin = _follow(disc, np.zeros(n), config, trace, "t",
+                           lambda s: (s, bc0, ones))
     u_t = u
     if np.any(bc_target != 0.0) or np.any(f_target != 1.0):
-        u, F, margin, path = _follow(
+        u, F, margin = _follow(
             disc, u, config, trace, "ramp",
             lambda s: (1.0, s * bc_target, f_target**s))
-    return u, np.max(np.abs(F)), margin, trace, path, u_t
+    return u, np.max(np.abs(F)), margin, trace, u_t
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +768,7 @@ def _barrier_start(disc, config, j, fvals, trace):
                                                   config, trace)
     trace.append(("ramp", 0.0, its, res, rule))
     if not np.array_equal(bc_w, bc):
-        u, F, margin, _ = _follow(
+        u, F, margin = _follow(
             disc, u, config, trace, "ramp",
             lambda s: (1.0, (1.0 - s) * bc_w + s * bc, fvals))
     return u, np.max(np.abs(F)), margin, _ball_barrier(grid, c, 0.0)
@@ -809,15 +799,15 @@ def solve_complete(config, warm=()):
     values, then on an annulus ramped to j); else, or if that fails, the
     t-continuation from u = 0 with a ramp of the data to j, whose trace
     follows what a failed barrier start recorded.
-    Later rung ramps ride one follower, its secant and step carried from
-    ramp to ramp.  Each ramp's first try, at (t = 1, bc = j), starts from a
+    Each later rung ramps the data from the rung below in a phase of its
+    own, whose first try is the whole ramp, at (t = 1, bc = j), from a
     guess: warm's rung j when warm holds one; else the rung the boundary
     layer predicts from the two rungs before it (_predict_rung: near the
     boundary a rung is about -ln(d + c e^{-j})).  The rung j = 0 is the
     closed-form barrier at j = 0 after a barrier start, the end of the
     t-phase after a t-continuation with rhs factor 1, and none otherwise.
     With no guess (no rung below, or a prediction that is not a positive
-    e^{-u} at some node) the ramp starts from the secant; a failed guess
+    e^{-u} at some node) the try starts from the rung below; a failed try
     falls back to the halving.
     """
     grid = config.grid
@@ -830,7 +820,7 @@ def solve_complete(config, warm=()):
     guesses = dict(warm)
     j = J_STEP
     bc = _boundary_values(grid, j)
-    u, trace, path, below = None, [], (None, 1.0), None
+    u, trace, below = None, [], None
     if j in guesses:
         try:
             u, its, res, F, margin, rule = _damped_newton(
@@ -847,8 +837,7 @@ def solve_complete(config, warm=()):
         except ContinuationFailure:
             pass  # the cold path below, after what the barrier recorded
     if u is None:
-        u, res, margin, cold, path, u_t = _continuation(disc, config, bc,
-                                                        fvals)
+        u, res, margin, cold, u_t = _continuation(disc, config, bc, fvals)
         trace = trace + cold
         if unit_factor:
             below = u_t  # the rung j = 0
@@ -864,10 +853,10 @@ def solve_complete(config, warm=()):
             guess = _predict_rung(u_prev, below)
         # u_prev solves t = 1 at data bc: ramp the data to bc_next, with
         # the rhs factor held at its target (every ramp spans J_STEP in j)
-        u, F, margin, path = _follow(
+        u, F, margin = _follow(
             disc, u_prev, config, trace, "ramp",
             lambda s: (1.0, (1.0 - s) * bc + s * bc_next, fvals),
-            path, guess)
+            1.0, guess)
         res = np.max(np.abs(F))
         drop = float((u_prev - u).max())
         if drop > 1e-8:
@@ -929,13 +918,10 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     const = float(coef[0])
     fit_res = float(np.abs(A @ coef - vals).max())
-    half_log = 0.5 * log(grid.m - 1)
     return {
         "constant": const,
         "window": (float(lo), float(hi)),
         "fit_residual": fit_res,
         "n_window_nodes": int(sel.sum()),
-        "half_log_reference": half_log,
         "einstein_reference": _einstein_constant(grid.m, k, rhs_scale),
-        "matches_half_log": bool(abs(const - half_log) <= 1e-2),
     }

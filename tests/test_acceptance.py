@@ -79,16 +79,14 @@ def test_criterion_2_asymptotic_constants():
         _, state = _complete_ball(1024, 3, k)
         fit = state.asymptotics
         target = 0.5 * log(2.0) + log(comb(3, k)) / (2.0 * k)
-        good = abs(fit["constant"] - target) <= 1e-2
-        if k == 3:
-            good = good and fit["matches_half_log"]
-        else:
-            # constant differs from the pure half-log value and the
-            # report must flag that
-            good = good and not fit["matches_half_log"]
+        good = (abs(fit["constant"] - target) <= 1e-2
+                and abs(fit["constant"] - fit["einstein_reference"]) <= 1e-2)
+        if k != 3:
+            # the constant differs from the k = m value 1/2 ln(m - 1)
+            good = good and abs(fit["constant"] - 0.5 * log(2.0)) > 1e-2
         ok = ok and good
         details.append(f"k={k}: {fit['constant']:.5f} vs {target:.5f}, "
-                       f"half-log flag {fit['matches_half_log']}")
+                       f"reference {fit['einstein_reference']:.5f}")
     _report(2, ok, "; ".join(details) + " (tol 1e-2)")
 
 

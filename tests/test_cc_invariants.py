@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from math import log
@@ -212,15 +214,97 @@ class TestWarmFamily:
         assert sum(its) == jacobians[0]
 
     # on the 384-node annulus a warm try stalls at the grid's rounding
-    # floor, above 1e-6 (100 tol) but far below the floor eps |J| (1 + |u|)
-    # of the graded stencils: Newton accepts it, so no order after the
-    # first reruns the t-continuation
+    # floor, far above 100 tol but below the floor eps |J| (1 + |u|) of
+    # the graded stencils: Newton accepts it, so no order after the first
+    # reruns the t-continuation
     def test_annulus_warm_orders_accepted_at_the_floor(self, annulus_family):
         for state in annulus_family.states[1:]:
             assert not any(e[0] == "t" for e in state.trace)
         floor = [e for st in annulus_family.states[1:] for e in st.trace
                  if e[0] == "ramp" and e[4] == "damping-floor"]
         assert any(e[3] > 1e-6 for e in floor)
+
+
+@pytest.fixture(scope="module")
+def recorded_annulus_family():
+    """The 384-node annulus family with, in the order they ran, every
+    Jacobian ("J") and residual ("F") evaluation, and per complete solve
+    its events and state, per Newton solve its stop rule and events, and
+    per path-follower phase its data at s = 1, its guess and its entries."""
+    events, solves, newtons, phases = [], [], [], []
+    jacobian, residual = cs._RadialDisc.jacobian, cs._RadialDisc.residual
+    newton, follow, complete = (cs._damped_newton, cs._follow,
+                                cc.solve_complete)
+
+    def counted_jacobian(self, *args):
+        events.append("J")
+        return jacobian(self, *args)
+
+    def counted_residual(self, *args):
+        events.append("F")
+        return residual(self, *args)
+
+    def recorded_newton(*args):
+        start = len(events)
+        out = newton(*args)
+        newtons.append((out[5], events[start:]))
+        return out
+
+    def recorded_follow(*args, **kwargs):
+        bound = inspect.signature(follow).bind(*args, **kwargs).arguments
+        trace = bound["trace"]
+        start = len(trace)
+        out = follow(*args, **kwargs)
+        phases.append((len(solves), bound["data"](1.0)[1].max(),
+                       bound.get("guess"), [e[:2] for e in trace[start:]]))
+        return out
+
+    def recorded_complete(config, warm=()):
+        start = len(events)
+        state = complete(config, warm=warm)
+        solves.append((events[start:], state))
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cs._RadialDisc, "jacobian", counted_jacobian)
+        mp.setattr(cs._RadialDisc, "residual", counted_residual)
+        mp.setattr(cs, "_damped_newton", recorded_newton)
+        mp.setattr(cs, "_follow", recorded_follow)
+        mp.setattr(cc, "solve_complete", recorded_complete)
+        solve_family(annulus_setup())
+    return solves, newtons, phases
+
+
+class TestNewtonWork:
+    # every Newton solve a complete solve makes is in its trace, with one
+    # iteration per Jacobian assembled and solved
+    def test_trace_counts_every_jacobian(self, recorded_annulus_family):
+        solves, _, _ = recorded_annulus_family
+        assert len(solves) == 4
+        for events, state in solves:
+            assert newton_iterations(state) == events.count("J")
+
+    # the rounding-floor stop is tested on the full step, the one residual
+    # evaluated after the last Jacobian, not after a whole line search
+    def test_floor_stop_after_one_residual(self, recorded_annulus_family):
+        _, newtons, _ = recorded_annulus_family
+        floor = [events for rule, events in newtons
+                 if rule == "damping-floor"]
+        assert floor
+        for events in floor:
+            last = len(events) - 1 - events[::-1].index("J")
+            assert events[last + 1:] == ["F"]
+
+    # order 1's j = 4 rung has no guess: the line through the rung j = 2
+    # and the closed-form barrier at j = 0 is not a positive e^{-u}; its
+    # ramp still tries the whole step first (from the rung below, 6
+    # iterations; four quarter steps took 16)
+    def test_unpredicted_rung_in_one_step(self, recorded_annulus_family):
+        _, _, phases = recorded_annulus_family
+        rung = [p for p in phases if p[0] == 0 and p[1] == 4.0]
+        assert len(rung) == 1
+        _, _, guess, entries = rung[0]
+        assert guess is None and entries == [("ramp", 1.0)]
 
 
 class TestInvariance:

@@ -462,7 +462,6 @@ class TestSubcommands:
         fit = record["result"]["asymptotics"]
         assert fit["constant"] == pytest.approx(0.5 * np.log(2.0),
                                                 abs=1e-2)
-        assert fit["matches_half_log"]
 
     def test_einstein_reference_carries_the_rhs_scale(self, tmp_path):
         # sigma_k = 4 e^{2ku} shifts the constant of u + ln d by
