@@ -309,10 +309,11 @@ def _json_safe(obj):
 def _record_validator():
     """The schema's validator, built once per process.  Its items keyword
     accepts a list for {"type": "number"} in one pass when every element
-    is a plain float or int (not bool); other lists take the stock path."""
+    is a plain float or int (not bool); other lists take the stock path.
+    The shipped schema is checked against its metaschema by the tests,
+    not here: it does not change between runs."""
     schema = json.loads(SCHEMA_PATH.read_text())
     base = jsonschema.validators.validator_for(schema)
-    base.check_schema(schema)
     stock_items = base.VALIDATORS["items"]
 
     def items(validator, item_schema, instance, parent):
@@ -586,18 +587,21 @@ _RUNNERS = {
 
 
 def build_parser():
+    """The sigmaric parser; every subcommand takes the same flags, built
+    once on a parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value config file")
+    for key, (parse, _, text) in _KEYS.items():
+        if key != "command":
+            common.add_argument("--" + key.replace("_", "-"), dest=key,
+                                type=parse, help=text)
     parser = argparse.ArgumentParser(
         prog="sigmaric",
         description="sigma_k-Ricci Dirichlet and complete-metric solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key = value config file")
-        for key, (parse, _, text) in _KEYS.items():
-            if key != "command":
-                p.add_argument("--" + key.replace("_", "-"), dest=key,
-                               type=parse, help=text)
+        sub.add_parser(name, parents=[common])
     return parser
 
 

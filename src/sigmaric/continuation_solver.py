@@ -26,8 +26,9 @@ the assembled Jacobian.
 Two discretizations share the Newton core and one Newton system, _Disc
 (the residual rows, cone margin and Jacobian weights around sigma_k):
 graded radial grids (the axisymmetric reduction, second-order mapped
-stencils, sparse LU on Jacobians filled into the pattern of the
-parameter-space second-difference stencil) and uniform boxes (centered
+stencils, sparse LU on Jacobians filled straight into a CSC layout from
+the pattern of the parameter-space second-difference stencil, all built
+once per grid) and uniform boxes (centered
 differences on slices of the node array at the PDE rows, sigma_j and the
 Newton transform from one Faddeev-LeVerrier pass).  Box Jacobians are
 never assembled: GMRES, preconditioned by the fast diagonalization
@@ -176,9 +177,11 @@ class _Disc:
     the build, and jacobian takes it back: the subclass's _operator weights
     its rows by w = 1/(1 + rhs) at PDE rows and adds the zero-order term
     c0 = bmask - 2k rhs w.  That is the derivative of w(u0) (sigma_k - rhs),
-    the weight frozen at the iterate u0, exact only where F = 0; adding the
-    dropped -2k rhs w F measured 197 -> 209 Newton iterations on the cold
-    n = 384 ball family with predicted rungs (u agrees to 7e-12).  A
+    the weight frozen at the iterate u0, exact only where F = 0.  Adding
+    the dropped -2k rhs w F to c0 costs Newton iterations with warm and
+    barrier starts: 47 -> 49 on the n = 384 ball family and 140 -> 156 on
+    the annulus pe-invariant (its family and the threshold ball's), 16 on
+    the 2048-node ball either way, u agreeing to 3e-11.  A
     subclass also sets bg_scale (c >= 1 with c g >= rho), h_min and
     diameter.
     """
@@ -208,6 +211,66 @@ class _Disc:
         return self._operator(built, w, self.bmask - 2.0 * self.k * rhs * w)
 
 
+class _RadialOperators:
+    """What a radial Newton solve needs of its grid alone: built once per
+    RadialGrid instance (_radial_operators) and shared, read-only, by every
+    _RadialDisc on it, whatever its order or background.
+
+    D1 = diag(1/r') Dxi1 and D2 = diag(1/r'^2) Dxi2 - diag(r''/r'^3) Dxi1
+    are pushed forward from the stencils Dxi1, Dxi2 in the uniform
+    parameter xi, and inv_r is 1/r (0 at r = 0).  Every term a Jacobian
+    combines lies in the pattern of Dxi2.  The CSC layout (indptr, indices)
+    keeps its entries at PDE rows, the diagonal at boundary rows and D1's
+    entries at the ball row r = 0; the rest of the pattern is structurally
+    zero there.  on_layout holds D2, D1 and the identity at the layout's
+    entries, in CSC order.
+    """
+
+    def __init__(self, grid):
+        n = grid.n
+        h = grid.xi_step
+        Dxi1 = uniform_d1(n, h)
+        Dxi2 = uniform_d2(n, h)
+        inv_dr = 1.0 / grid.dr
+        self.D1 = (sp.diags(inv_dr) @ Dxi1).tocsr()
+        self.D2 = (sp.diags(inv_dr**2) @ Dxi2
+                   - sp.diags(grid.d2r * inv_dr**3) @ Dxi1).tocsr()
+        r = grid.nodes
+        with np.errstate(divide="ignore"):
+            self.inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+        rows = np.repeat(np.arange(n), np.diff(Dxi2.indptr))
+        cols = Dxi2.indices
+        on_pattern = [np.asarray(A[rows, cols]).ravel()
+                      for A in (self.D2, self.D1, sp.identity(n).tocsr())]
+        pde = ~grid.boundary
+        keep = rows == cols
+        if grid.is_ball:  # the row at r = 0 is u'(0) = 0
+            pde[0] = False
+            keep |= (rows == 0) & (on_pattern[1] != 0.0)
+        keep |= pde[rows]
+        order = np.lexsort((rows, cols))  # CSC order: by column, then row
+        order = order[keep[order]]
+        self.indices = rows[order].astype(Dxi2.indices.dtype)
+        self.indptr = np.zeros(n + 1, Dxi2.indptr.dtype)
+        np.cumsum(np.bincount(cols[order], minlength=n), out=self.indptr[1:])
+        self.on_layout = tuple(vals[order] for vals in on_pattern)
+        shared = [self.inv_r, self.indices, self.indptr, *self.on_layout]
+        for A in (self.D1, self.D2):
+            shared += [A.data, A.indices, A.indptr]
+        for array in shared:
+            array.flags.writeable = False
+
+
+def _radial_operators(grid):
+    """grid's _RadialOperators, built at its first radial solve and kept in
+    the grid's own __dict__, so that they live exactly as long as it does
+    (a grid is not changed after its first solve)."""
+    ops = vars(grid).get("_radial_operators")
+    if ops is None:
+        ops = grid._radial_operators = _RadialOperators(grid)
+    return ops
+
+
 class _RadialDisc(_Disc):
     """Axisymmetric reduction on a (possibly graded) radial grid.
 
@@ -221,11 +284,9 @@ class _RadialDisc(_Disc):
     with c_f = f'/f (= 1/r on flat backgrounds) and rho_r, rho_t the
     radial/tangential eigenvalues of g^{-1} rho, whose largest is the
     prescale; sigma_k is evaluated on the multiset {a, b x (m-1)}.  The
-    build is (a, b, u').  On a ball the row at r = 0 is u'(0) = 0.
-    D1 = diag(1/r') Dxi1 and D2 = diag(1/r'^2) Dxi2 - diag(r''/r'^3) Dxi1
-    are pushed forward from the stencils Dxi1, Dxi2 in the uniform
-    parameter xi, so every term the Jacobian combines lies in the pattern
-    of Dxi2, where _fill writes it.
+    build is (a, b, u').  On a ball the row at r = 0 is u'(0) = 0.  The
+    mapped stencils D1, D2 and the layout _fill writes the Jacobian into
+    are the grid's _RadialOperators, shared by every disc on the grid.
     """
 
     def __init__(self, config):
@@ -233,17 +294,11 @@ class _RadialDisc(_Disc):
         grid = config.grid
         bg = config.background
         n = grid.n
-        h = grid.xi_step
-        Dxi1 = uniform_d1(n, h)
-        Dxi2 = uniform_d2(n, h)
-        inv_dr = 1.0 / grid.dr
-        self.D1 = (sp.diags(inv_dr) @ Dxi1).tocsr()
-        self.D2 = (sp.diags(inv_dr**2) @ Dxi2
-                   - sp.diags(grid.d2r * inv_dr**3) @ Dxi1).tocsr()
+        self.ops = _radial_operators(grid)
+        self.D1, self.D2 = self.ops.D1, self.ops.D2
         r = grid.nodes
         if bg.kind == "flat":
-            with np.errstate(divide="ignore"):
-                self.cf = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+            self.cf = self.ops.inv_r
             self.rho_r = np.zeros(n)
             self.rho_t = np.zeros(n)
         elif bg.kind == "warped":
@@ -263,11 +318,6 @@ class _RadialDisc(_Disc):
         self.ball_row = 0 if grid.is_ball else None
         if self.ball_row is not None:
             self.pde[self.ball_row] = False
-        # D2, D1 and the identity on the pattern of Dxi2, which holds all
-        self.Dxi2 = Dxi2
-        self.rows = np.repeat(np.arange(n), np.diff(Dxi2.indptr))
-        self.on_pattern = [np.asarray(A[self.rows, Dxi2.indices]).ravel()
-                           for A in (self.D2, self.D1, sp.identity(n).tocsr())]
 
     def _sigma(self, u, t):
         du = self.D1 @ u
@@ -310,17 +360,24 @@ class _RadialDisc(_Disc):
         return self._fill(coef2 * w, coef1 * w, c0)
 
     def _fill(self, c2, c1, c0):
-        """diag(c2) D2 + diag(c1) D1 + diag(c0), with D1 at the ball row
-        (where c2 and c1 must vanish), as a CSC matrix with no stored
-        zeros, filled on the pattern of Dxi2."""
+        """diag(c2) D2 + diag(c1) D1 + diag(c0), with D1 at the ball row,
+        as a CSC matrix with no stored zeros, filled straight into the
+        grid's layout; c2 and c1 must vanish at non-PDE rows, where the
+        layout keeps only the boundary closure."""
         if self.ball_row is not None:
             c1 = c1.copy()
             c1[self.ball_row] = 1.0
-        J = self.Dxi2.copy()
-        J.data = sum(c[self.rows] * vals
-                     for c, vals in zip((c2, c1, c0), self.on_pattern))
-        J.eliminate_zeros()
-        return J.tocsc()
+        rows, indptr = self.ops.indices, self.ops.indptr
+        data = sum(c[rows] * vals for c, vals in zip((c2, c1, c0),
+                                                      self.ops.on_layout))
+        # a coefficient that cancelled to 0 is dropped, from J's own copy
+        # of the read-only layout
+        cancelled = not data.all()
+        J = sp.csc_matrix((data, rows, indptr), shape=self.D2.shape,
+                          copy=cancelled)
+        if cancelled:
+            J.eliminate_zeros()
+        return J
 
 
 class _BoxDisc(_Disc):
@@ -902,7 +959,10 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
     The window [1e3, 1e4] e^{-j_final} sits far enough outside the
     boundary layer of the last Dirichlet rung that the finite-j bias
     ln(1 + e^{-j}/d) is below the fit tolerance, yet close enough to the
-    boundary that the genuine asymptotic constant dominates.
+    boundary that the genuine asymptotic constant dominates.  u + ln d is
+    fitted by a quadratic in d, whose intercept is the constant: an affine
+    fit leaves the O(d^2) term of the expansion in it, -8.0e-5 on the
+    m = k = 3 ball at n = 1025 and 2049, against about 1e-6 here.
     """
     lo = 1e3 * np.exp(-j_final)
     hi = 1e4 * np.exp(-j_final)
@@ -912,9 +972,8 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
     if sel.sum() < 3:
         sel = (d > 0) & (d <= max(hi, 20 * h_min))
     vals = u[sel] + np.log(d[sel])
-    # affine fit in the distance: the intercept removes the O(d) geometric
-    # correction to the boundary expansion
-    A = np.stack([np.ones(sel.sum()), d[sel]], axis=1)
+    # the intercept is freed of the O(d) and O(d^2) terms of the expansion
+    A = np.stack([np.ones(sel.sum()), d[sel], d[sel] ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     const = float(coef[0])
     fit_res = float(np.abs(A @ coef - vals).max())

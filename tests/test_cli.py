@@ -114,6 +114,20 @@ class TestRecords:
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == record
 
+    # the validator does not check the shipped schema against its
+    # metaschema on every run; this does, and can fail
+    def test_shipped_schema_is_valid(self):
+        import jsonschema
+
+        schema = json.loads(cli.SCHEMA_PATH.read_text())
+        check = jsonschema.validators.validator_for(schema).check_schema
+        check(schema)
+        broken = json.loads(cli.SCHEMA_PATH.read_text())
+        broken["properties"]["result"]["properties"]["residual"] = {
+            "type": "numbr"}
+        with pytest.raises(jsonschema.SchemaError):
+            check(broken)
+
     def test_invalid_record_rejected(self):
         import jsonschema
 

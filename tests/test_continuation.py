@@ -1,4 +1,6 @@
+import gc
 import weakref
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -14,6 +16,7 @@ from oracles import (
     eigenvalues,
     manufactured_box,
 )
+from sigmaric.cc_invariants import CCSetup, solve_family
 from sigmaric.conformal_ops import conformal_tensor
 from sigmaric.continuation_solver import (
     SolveConfig,
@@ -478,6 +481,15 @@ class TestComplete:
         assert abs(rep["constant"] - rep["einstein_reference"]) < 1e-2
         assert rep["j_final"] <= rep["j_cap"]
 
+    def test_asymptotic_constant_at_the_reference(self):
+        # the quadratic fit in the distance reads the k = m ball's constant
+        # to about 2e-6 at n = 1025; the affine fit read -8.0e-5
+        n = 1025
+        grid = make_radial_grid(0.0, 1.0, n, m=3,
+                                grading=complete_grading(n))
+        rep = solve_complete(flat_config(grid, 3)).asymptotics
+        assert abs(rep["constant"] - rep["einstein_reference"]) <= 5e-6
+
     def test_rungs_hold_the_rhs_factor(self, monkeypatch):
         # a rung ramps only the boundary data, from the last rung's
         # solution at data J_STEP up: every residual it evaluates sees the
@@ -703,25 +715,116 @@ class TestDiscreteJacobian:
         J = _jacobian_at(disc, u, bc)
         assert J.nnz == np.count_nonzero(J.data)
 
-    # the radial fill on the pattern of the parameter-space stencil Dxi2
-    # against the scipy.sparse products and sums it stands for, with the
-    # ball row closed by D1: bitwise equal values and no stored zeros
-    @pytest.mark.parametrize("grid", [
-        make_radial_grid(0.0, 1.0, 65, grading=1.05, m=3),
-        make_radial_grid(0.5, 1.0, 65, grading=1.05, m=4, cluster="both"),
-    ], ids=["ball", "annulus"])
-    def test_radial_fill_matches_sparse_sum(self, grid):
-        disc = cs._make_disc(flat_config(grid, 2))
+    # the radial fill straight into the grid's CSC layout against the
+    # scipy.sparse products and sums it stands for, with the ball row
+    # closed by D1, and against the fill it replaced (the pattern of Dxi2,
+    # eliminate_zeros, tocsc): bitwise equal indptr, indices and data, so
+    # SuperLU orders it the same, also where a coefficient cancels.  c2
+    # and c1 vanish at non-PDE rows, as the row weight w does
+    @pytest.mark.parametrize("case", ["ball", "annulus", "warped"])
+    def test_radial_fill_matches_sparse_sum(self, case):
+        if case == "ball":
+            grid = make_radial_grid(0.0, 1.0, 65, grading=1.05, m=3)
+        else:
+            grid = make_radial_grid(0.5, 1.0, 65, grading=1.05, m=4,
+                                    cluster="both")
+        bg = background_ricci(grid, "flat")
+        if case == "warped":
+            bg = background_ricci(grid, "warped",
+                                  profile=(np.sinh, np.cosh, np.sinh))
+        disc = cs._make_disc(SolveConfig(grid=grid, background=bg, k=2))
         c2, c1, c0 = np.random.default_rng(7).standard_normal((3, grid.n))
+        c2[~disc.pde] = c1[~disc.pde] = 0.0
         ball = np.zeros(grid.n)
         if grid.is_ball:
-            c2[0] = c1[0] = 0.0
             ball[0] = 1.0
-        ref = (sp.diags(c2) @ disc.D2 + sp.diags(c1) @ disc.D1
-               + sp.diags(c0) + sp.diags(ball) @ disc.D1)
-        J = disc._fill(c2, c1, c0)
-        assert J.format == "csc" and J.nnz == np.count_nonzero(J.data)
-        assert np.array_equal(J.toarray(), ref.toarray())
+        Dxi2 = cs.uniform_d2(grid.n, grid.xi_step)
+        rows = np.repeat(np.arange(grid.n), np.diff(Dxi2.indptr))
+        on_pattern = [np.asarray(A[rows, Dxi2.indices]).ravel() for A in
+                      (disc.D2, disc.D1, sp.identity(grid.n).tocsr())]
+
+        def pattern_fill():
+            ref = Dxi2.copy()
+            ref.data = sum(c[rows] * vals for c, vals in
+                           zip((c2, c1 + ball, c0), on_pattern))
+            ref.eliminate_zeros()
+            return ref.tocsc()
+
+        nnz = []
+        for cancel in (False, True):
+            if cancel:  # D1 has no diagonal at an interior row
+                i = grid.n // 2
+                c0[i] = -c2[i] * disc.D2.diagonal()[i]
+            ref = (sp.diags(c2) @ disc.D2 + sp.diags(c1) @ disc.D1
+                   + sp.diags(c0) + sp.diags(ball) @ disc.D1)
+            J = disc._fill(c2, c1, c0)
+            assert J.format == "csc" and J.nnz == np.count_nonzero(J.data)
+            assert np.array_equal(J.toarray(), ref.toarray())
+            old = pattern_fill()
+            for key in ("indptr", "indices", "data"):
+                a, b = getattr(J, key), getattr(old, key)
+                assert a.dtype == b.dtype and np.array_equal(a, b), key
+            nnz.append(J.nnz)
+        assert nnz[1] == nnz[0] - 1
+
+
+class TestRadialOperators:
+    # the mapped stencils, 1/r and the Jacobian layout are built once per
+    # RadialGrid instance, shared read-only by every disc on it, and
+    # released with the grid
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        stencil = cs.uniform_d2
+
+        def counted(n, h):
+            builds.append(n)
+            return stencil(n, h)
+
+        monkeypatch.setattr(cs, "uniform_d2", counted)
+        return builds
+
+    def test_discs_on_one_grid_share_one_build(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        discs = [cs._make_disc(flat_config(grid, k)) for k in (1, 3)]
+        assert builds == [33]
+        assert discs[0].ops is discs[1].ops
+        assert discs[0].D2 is discs[1].D2 and discs[0].cf is discs[1].cf
+        # another instance, even an equal one, builds its own
+        other = cs._make_disc(flat_config(replace(grid), 2))
+        assert builds == [33, 33] and other.ops is not discs[0].ops
+
+    def test_family_builds_once(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        n = 97
+        grid = make_radial_grid(0.0, 1.0, n, m=4,
+                                grading=complete_grading(n))
+        family = solve_family(CCSetup(grid=grid, n=3))
+        assert len(family.w) == 4 and builds == [n]
+
+    def test_shared_arrays_read_only(self):
+        grid = make_radial_grid(0.0, 1.0, 33, grading=1.05, m=3)
+        disc = cs._make_disc(flat_config(grid, 2))
+        ops = disc.ops
+        shared = [ops.inv_r, ops.indices, ops.indptr, *ops.on_layout]
+        for A in (ops.D1, ops.D2):
+            shared += [A.data, A.indices, A.indptr]
+        ones = np.ones(grid.n)
+        J = disc._fill(ones * disc.pde, ones * disc.pde, ones)
+        shared += [J.indices, J.indptr]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_released_with_the_grid(self):
+        grid = make_radial_grid(0.5, 1.0, 33, m=3)
+        state = solve_dirichlet(flat_config(grid, 2, boundary_data=0.5))
+        ops = weakref.ref(cs._radial_operators(grid))
+        assert ops() is not None
+        del grid, state
+        gc.collect()
+        assert ops() is None
 
 
 class TestBoxSigma:
