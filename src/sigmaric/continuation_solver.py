@@ -483,15 +483,22 @@ class _PrecondSolver:
     """Linear solver for the Newton steps.
 
     Radial Jacobians are banded and factor exactly by sparse LU, ignoring
-    the forcing term eta.  Box Jacobians are operators: GMRES, preconditioned
-    by fast diagonalization, runs to |J x - b|_2 <= eta |b|_2, judged by its
-    own convergence flag, and runs once more, warm, only if that flag says
-    it did not get there.
+    the forcing term eta.  They are tridiagonal on an annulus and (1, 2)
+    banded on a ball, so node order already gives no fill: SuperLU keeps
+    it (permc_spec="NATURAL") and builds no supernodes (relax=1,
+    panel_size=1), which a band has none of; the COLAMD ordering and
+    supernode relaxation of its defaults took most of each factorization.
+    Partial pivoting stays (diag_pivot_thresh 1.0): the first Jacobian of
+    a 2048-node ball swaps 1483 of its rows.  Box Jacobians are
+    operators: GMRES, preconditioned by fast diagonalization, runs to
+    |J x - b|_2 <= eta |b|_2, judged by its own convergence flag, and runs
+    once more, warm, only if that flag says it did not get there.
     """
 
     def solve(self, J, b, eta=ETA_MIN):
         if sp.issparse(J):
-            return splu(J).solve(b)
+            return splu(J, permc_spec="NATURAL", relax=1,
+                        panel_size=1).solve(b)
         shape = (b.size, b.size)
         A = spla.LinearOperator(shape, matvec=J.matvec, dtype=float)
         M = spla.LinearOperator(shape, matvec=J.precondition, dtype=float)
@@ -942,6 +949,7 @@ def solve_complete(config, warm=()):
     report["j_final"] = j
     report["j_cap"] = j_cap
     report["core_delta"] = delta_core
+    report["limit_delta"] = _limit_delta(rungs, core)
     return HomotopyState(
         u=ScalarField(grid, u),
         cone_margin=float(margin),
@@ -951,6 +959,20 @@ def solve_complete(config, warm=()):
         asymptotics=report,
         rungs=rungs,
     )
+
+
+def _limit_delta(rungs, core):
+    """max |change| on the core between the j = infinity lines of the
+    last two rung pairs, or None with fewer than three rungs or a line
+    that is not defined there."""
+    if len(rungs) < 3:
+        return None
+    a, b, c = (u[core] for _, u in rungs[-3:])
+    at_limit = 1.0 / np.expm1(J_STEP)
+    last, before = _predict_rung(c, b, at_limit), _predict_rung(b, a, at_limit)
+    if last is None or before is None:
+        return None
+    return float(np.abs(last - before).max())
 
 
 def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
@@ -963,24 +985,39 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
     fitted by a quadratic in d, whose intercept is the constant: an affine
     fit leaves the O(d^2) term of the expansion in it, -8.0e-5 on the
     m = k = 3 ball at n = 1025 and 2049, against about 1e-6 here.
+
+    An annulus is fitted one sphere at a time, since the O(d) term (the
+    sphere's mean curvature) has opposite signs at r0 and r1: the report's
+    keys describe the outer sphere, and "inner" holds the constant, fit
+    residual and window nodes at r0.  One fit pooling both read a
+    residual of 4.0e-2 on the m = 3, k = 2 annulus [0.5, 1] at n = 1025,
+    against 1.1e-4 (outer) and 4.6e-4 (inner) apart.
     """
     lo = 1e3 * np.exp(-j_final)
     hi = 1e4 * np.exp(-j_final)
     hi = min(hi, 0.2 * diameter)
     lo = min(lo, 0.5 * hi)
-    sel = (d >= lo) & (d <= hi) & (d > 0)
-    if sel.sum() < 3:
-        sel = (d > 0) & (d <= max(hi, 20 * h_min))
-    vals = u[sel] + np.log(d[sel])
-    # the intercept is freed of the O(d) and O(d^2) terms of the expansion
-    A = np.stack([np.ones(sel.sum()), d[sel], d[sel] ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-    const = float(coef[0])
-    fit_res = float(np.abs(A @ coef - vals).max())
-    return {
-        "constant": const,
-        "window": (float(lo), float(hi)),
-        "fit_residual": fit_res,
-        "n_window_nodes": int(sel.sum()),
-        "einstein_reference": _einstein_constant(grid.m, k, rhs_scale),
-    }
+
+    def fit(side):
+        sel = side & (d >= lo) & (d <= hi) & (d > 0)
+        if sel.sum() < 3:
+            sel = side & (d > 0) & (d <= max(hi, 20 * h_min))
+        vals = u[sel] + np.log(d[sel])
+        # the intercept is freed of the O(d) and O(d^2) terms
+        A = np.stack([np.ones(sel.sum()), d[sel], d[sel] ** 2], axis=1)
+        coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
+        return {
+            "constant": float(coef[0]),
+            "fit_residual": float(np.abs(A @ coef - vals).max()),
+            "n_window_nodes": int(sel.sum()),
+        }
+
+    annulus = isinstance(grid, RadialGrid) and not grid.is_ball
+    outer = (grid.r1 - grid.nodes <= grid.nodes - grid.r0 if annulus
+             else np.ones(d.size, dtype=bool))
+    report = fit(outer)
+    report["window"] = (float(lo), float(hi))
+    report["einstein_reference"] = _einstein_constant(grid.m, k, rhs_scale)
+    if annulus:
+        report["inner"] = fit(~outer)
+    return report

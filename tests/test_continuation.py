@@ -481,14 +481,40 @@ class TestComplete:
         assert abs(rep["constant"] - rep["einstein_reference"]) < 1e-2
         assert rep["j_final"] <= rep["j_cap"]
 
-    def test_asymptotic_constant_at_the_reference(self):
-        # the quadratic fit in the distance reads the k = m ball's constant
-        # to about 2e-6 at n = 1025; the affine fit read -8.0e-5
+    @pytest.fixture(scope="class")
+    def ball_1025(self):
         n = 1025
         grid = make_radial_grid(0.0, 1.0, n, m=3,
                                 grading=complete_grading(n))
-        rep = solve_complete(flat_config(grid, 3)).asymptotics
+        return solve_complete(flat_config(grid, 3)).asymptotics
+
+    def test_asymptotic_constant_at_the_reference(self, ball_1025):
+        # the quadratic fit in the distance reads the k = m ball's constant
+        # to about 2e-6 at n = 1025; the affine fit read -8.0e-5
+        rep = ball_1025
         assert abs(rep["constant"] - rep["einstein_reference"]) <= 5e-6
+        assert "inner" not in rep
+
+    def test_limit_delta_below_the_core_delta(self, ball_1025):
+        # the j = infinity lines of the last two rung pairs agree on the
+        # core (4.3e-8) far below the change between the last two rungs
+        # (5.2e-4), which the resolution cap stops
+        rep = ball_1025
+        assert rep["limit_delta"] <= cs.CORE_TOL
+        assert rep["core_delta"] > 1e-4
+
+    def test_annulus_fitted_one_sphere_at_a_time(self):
+        # the O(d) term of u + ln d has opposite signs at the two spheres:
+        # one fit over both windows read a residual of 4.0e-2 here
+        n = 1025
+        grid = make_radial_grid(0.5, 1.0, n, m=3, cluster="both",
+                                grading=complete_grading(n))
+        rep = solve_complete(flat_config(grid, 2)).asymptotics
+        ref = rep["einstein_reference"]
+        for side in (rep, rep["inner"]):
+            assert side["fit_residual"] <= 1e-3
+            assert abs(side["constant"] - ref) <= 2e-3
+            assert side["n_window_nodes"] >= 3
 
     def test_rungs_hold_the_rhs_factor(self, monkeypatch):
         # a rung ramps only the boundary data, from the last rung's
@@ -825,6 +851,38 @@ class TestRadialOperators:
         del grid, state
         gc.collect()
         assert ops() is None
+
+
+class TestRadialFactorization:
+    # radial Jacobians are banded (tridiagonal on an annulus, (1, 2) on a
+    # ball), so SuperLU factors them in node order: no column
+    # permutation, fill within a few entries per row, and a backward-stable
+    # solve under partial pivoting
+    @pytest.mark.parametrize("r0, n, m, cluster", [
+        (0.0, 2048, 3, "outer"), (0.5, 384, 4, "both"),
+    ], ids=["ball-2048", "annulus-384"])
+    def test_band_order(self, r0, n, m, cluster, monkeypatch):
+        seen, splu = [], cs.splu
+
+        def recorded(J, **kwargs):
+            lu = splu(J, **kwargs)
+            seen.append((J, lu))
+            return lu
+
+        monkeypatch.setattr(cs, "splu", recorded)
+        grid = make_radial_grid(r0, 1.0, n, m=m, cluster=cluster,
+                                grading=complete_grading(n))
+        solve_complete(flat_config(grid, 3))
+        assert seen
+        rng = np.random.default_rng(3)
+        for J, lu in seen:
+            assert np.array_equal(lu.perm_c, np.arange(n))
+            assert lu.nnz <= 5 * n
+            b = rng.standard_normal(n)
+            x = lu.solve(b)
+            norm_J = abs(J).sum(axis=1).max()
+            assert (np.max(np.abs(J @ x - b))
+                    <= 1e-12 * norm_J * np.max(np.abs(x)))
 
 
 class TestBoxSigma:
