@@ -6,7 +6,8 @@ the shipped schema) and, on request, a CSV field dump with the fixed columns
 x0..x{m-1}, r, u, u_plus_ln_r.
 
 Configs are plain key = value text (optional [section] headers are
-cosmetic); command-line flags override file values.  Exit codes: 0 success,
+cosmetic) for one subcommand, which takes only the keys it reads;
+command-line flags override file values.  Exit codes: 0 success,
 2 config parse error, 3 solver failure, 4 verify invariant violation.
 Timestamps live in a separate meta block so the result payload is
 deterministic for a fixed config and seed; the SIGMARIC_OUTPUT_DIR
@@ -72,13 +73,12 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-# every key a config file may set: name -> (parser, default, flag help);
-# each key but command is also the flag --<name with hyphens>
+# every setting: name -> (parser, default, help); the subcommands that
+# read it take it as a config-file key and as the flag --<name with hyphens>
 _KEYS = {
-    "command": (str, None, None),
     "dim": (int, 3, "ambient dimension m"),
     "k": (int, None, "symmetric-function order"),
-    "n": (int, 3, "boundary dimension (pe-invariant)"),
+    "n": (int, 3, "boundary dimension"),
     "domain": (str, "ball", "ball | annulus | box | disk (surface)"),
     "r0": (float, 0.5, "inner radius (annulus)"),
     "r1": (float, 1.0, "outer radius"),
@@ -86,7 +86,7 @@ _KEYS = {
     "hi": (str, "1", "box corner, comma separated"),
     "grid": (str, "257", "node counts, comma separated"),
     "grading": (str, "auto", "radial grading ratio or 'auto'"),
-    "cluster": (str, "outer", "outer | both"),
+    "cluster": (str, "auto", "auto | outer | both"),
     "background": (str, "flat", "flat | warped:{sinh,sin,cosh} | "
                    "flat-ball | flat-annulus (pe-invariant)"),
     "j": (float, 0.0, "constant boundary data"),
@@ -94,22 +94,30 @@ _KEYS = {
     "rhs_scale": (float, 1.0, "factor c > 0 of the right-hand side c e^{2ku}"),
     "tol": (float, 1e-10, "residual tolerance tol_residual"),
     "phi": (str, None, "conformal exponent expression in r"),
-    "curvature": (str, None, "curvature expression in x, y, r (surface)"),
-    "psi": (str, None, "background exponent expression (surface)"),
+    "curvature": (str, None, "curvature expression in x, y, r"),
+    "psi": (str, None, "background exponent expression"),
     "seed": (int, 0, "seed for verify suites"),
     "out": (str, None, "JSON result path"),
     "csv": (str, None, "CSV field dump path"),
 }
 
+# the keys each subcommand reads, which are all it takes
+_SOLVE_KEYS = ("dim", "k", "domain", "r0", "r1", "lo", "hi", "grid",
+               "grading", "cluster", "background", "rhs_scale", "tol", "out",
+               "csv")
+_COMMAND_KEYS = {
+    "solve-dirichlet": _SOLVE_KEYS + ("j", "data_file"),
+    "solve-complete": _SOLVE_KEYS,
+    "asymptotics": _SOLVE_KEYS,
+    "pe-invariant": ("n", "r0", "r1", "grid", "grading", "cluster",
+                     "background", "phi", "tol", "out", "csv"),
+    "surface": ("domain", "r1", "grid", "curvature", "psi", "out", "csv"),
+    "verify": ("seed", "out"),
+}
 
-def parse_config(text):
-    """Parse key = value text into a dict of typed values.
 
-    Lines may be blank, comments (#), cosmetic [section] headers, or
-    key = value pairs.  Unknown keys and malformed numbers raise
-    ConfigError naming the offending line.
-    """
-    values = {}
+def _config_lines(text):
+    """(line number, key, typed value) of each key = value line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -122,33 +130,44 @@ def parse_config(text):
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEYS[key][0](val)
+            yield lineno, key, _KEYS[key][0](val)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {exc}"
             ) from exc
-    return values
+
+
+def parse_config(text):
+    """Parse key = value text into a dict of typed values.
+
+    Lines may be blank, comments (#), cosmetic [section] headers, or
+    key = value pairs.  Unknown keys and malformed numbers raise
+    ConfigError naming the offending line.
+    """
+    return {key: value for _, key, value in _config_lines(text)}
 
 
 def resolve_config(args):
-    """Merge defaults, config file, and flags (flags win)."""
-    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
-    if getattr(args, "config", None):
+    """Merge defaults, config file, and flags (flags win) over the keys
+    args.command reads; a file line with another key is a ConfigError."""
+    cfg = {key: _KEYS[key][1] for key in _COMMAND_KEYS[args.command]}
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        file_values = parse_config(path.read_text())
-        file_values.pop("command", None)
-        cfg.update(file_values)
-    for key in _KEYS:
-        flag = getattr(args, key, None)
+        for lineno, key, value in _config_lines(path.read_text()):
+            if key not in cfg:
+                raise ConfigError(f"line {lineno}: {args.command} does not "
+                                  f"read {key!r}")
+            cfg[key] = value
+    for key in cfg:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
-    for key, (parse, _, text) in _KEYS.items():
+        parse, _, text = _KEYS[key]
         if parse is float and not np.isfinite(cfg[key]):
             raise ConfigError(f"{key}: {text} must be finite, got {cfg[key]}")
-    cfg["command"] = args.command
-    if cfg["k"] is None:
+    if "k" in cfg and cfg["k"] is None:
         cfg["k"] = cfg["dim"]
     return cfg
 
@@ -216,12 +235,13 @@ def _finite(key, text):
     raise ConfigError(f"{key}: expected a finite number, got {text!r}")
 
 
-def _make_grid(cfg, complete=False):
-    m = cfg["dim"]
-    domain = cfg["domain"]
+def _make_grid(cfg, complete=False, m=None, domain=None):
+    """The grid of cfg's dim and domain, unless m and domain are given.
+    cluster auto is both on a complete annulus, else outer."""
+    m = m or cfg["dim"]
+    domain = domain or cfg["domain"]
     if domain in ("ball", "annulus"):
-        counts = _parse_counts(cfg["grid"], expect=1)
-        n = counts[0]
+        n, = _parse_counts(cfg["grid"], expect=1)
         grading = cfg["grading"]
         if grading == "auto":
             grading = complete_grading(n) if complete else 1.0
@@ -229,8 +249,12 @@ def _make_grid(cfg, complete=False):
             grading = _finite("grading", grading)
         r0 = 0.0 if domain == "ball" else cfg["r0"]
         cluster = cfg["cluster"]
-        if complete and domain == "annulus" and cluster == "outer":
-            cluster = "both"
+        both = complete and domain == "annulus"
+        if cluster == "auto":
+            cluster = "both" if both else "outer"
+        elif both and cluster == "outer":
+            raise ConfigError("cluster: a complete annulus needs 'both': "
+                              "both spheres carry a boundary layer")
         return make_radial_grid(r0, cfg["r1"], n, grading=grading, m=m,
                                 cluster=cluster)
     if domain == "box":
@@ -242,7 +266,7 @@ def _make_grid(cfg, complete=False):
                 parts *= m
             corners.append([_finite(key, p) for p in parts])
         return make_box_grid(*corners, counts)
-    raise ConfigError(f"unknown domain {cfg['domain']!r}")
+    raise ConfigError(f"unknown domain {domain!r}")
 
 
 def _make_background(cfg, grid):
@@ -413,18 +437,14 @@ def run_asymptotics(cfg):
 
 def run_pe_invariant(cfg):
     n = cfg["n"]
-    cfg = dict(cfg, dim=n + 1)
     spec = cfg["background"]
-    if spec in ("flat-ball", "flat"):
-        cfg["domain"] = "ball"
-    elif spec == "flat-annulus":
-        cfg["domain"] = "annulus"
-    else:
+    domains = {"flat-ball": "ball", "flat": "ball", "flat-annulus": "annulus"}
+    if spec not in domains:
         raise ConfigError(
             f"pe-invariant background must be flat-ball or flat-annulus, "
             f"got {spec!r}"
         )
-    grid = _make_grid(cfg, complete=True)
+    grid = _make_grid(cfg, complete=True, m=n + 1, domain=domains[spec])
     phi = None
     if cfg["phi"]:
         phi = _eval_expression(cfg["phi"], {"r": grid.nodes})
@@ -587,21 +607,20 @@ _RUNNERS = {
 
 
 def build_parser():
-    """The sigmaric parser; every subcommand takes the same flags, built
-    once on a parent parser."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    for key, (parse, _, text) in _KEYS.items():
-        if key != "command":
-            common.add_argument("--" + key.replace("_", "-"), dest=key,
-                                type=parse, help=text)
+    """The sigmaric parser: each subcommand takes --config and the flags of
+    the keys it reads."""
     parser = argparse.ArgumentParser(
         prog="sigmaric",
         description="sigma_k-Ricci Dirichlet and complete-metric solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        sub.add_parser(name, parents=[common])
+    for name, keys in _COMMAND_KEYS.items():
+        command = sub.add_parser(name)
+        command.add_argument("--config", help="key = value config file")
+        for key in keys:
+            parse, _, text = _KEYS[key]
+            command.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 type=parse, help=text)
     return parser
 
 
@@ -615,7 +634,7 @@ def main(argv=None):
         return EXIT_PARSE
     t0 = time.perf_counter()
     try:
-        result, grid, u = _RUNNERS[cfg["command"]](cfg)
+        result, grid, u = _RUNNERS[args.command](cfg)
     except (ContinuationFailure, InvariantViolation, BvpFailure,
             RuntimeError, np.linalg.LinAlgError) as exc:
         block = {"error": type(exc).__name__, "message": str(exc)}
@@ -628,10 +647,10 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     wall = time.perf_counter() - t0
-    write_record(cfg["command"], cfg, result, wall, out_path=cfg["out"])
-    if cfg["csv"] and grid is not None:
+    write_record(args.command, cfg, result, wall, out_path=cfg["out"])
+    if grid is not None and cfg["csv"]:
         write_csv(cfg["csv"], grid, u)
-    if cfg["command"] == "verify":
+    if args.command == "verify":
         width = max(len(c["name"]) for c in result["checks"])
         for c in result["checks"]:
             tag = "PASS" if c["passed"] else "FAIL"
@@ -639,7 +658,7 @@ def main(argv=None):
         if not result["passed"]:
             return EXIT_VERIFY
         print("all checks passed")
-    elif cfg["command"] == "asymptotics":
+    elif args.command == "asymptotics":
         fit = result["asymptotics"]
         print(f"constant {fit['constant']:.6f} "
               f"(einstein reference {fit['einstein_reference']:.6f})")

@@ -943,8 +943,7 @@ def solve_complete(config, warm=()):
         u = u.copy()
         u[inner] = limit
 
-    report = _asymptotics_fit(grid, u, d, j, disc.h_min, disc.diameter,
-                              config.k, config.rhs_scale)
+    report = _asymptotics_fit(grid, u, d, j, disc, config.k, config.rhs_scale)
     report["tail_extrapolated"] = limit is not None
     report["j_final"] = j
     report["j_cap"] = j_cap
@@ -975,7 +974,7 @@ def _limit_delta(rungs, core):
     return float(np.abs(last - before).max())
 
 
-def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
+def _asymptotics_fit(grid, u, d, j_final, disc, k, rhs_scale):
     """Fit the constant of u + ln(distance) near the boundary.
 
     The window [1e3, 1e4] e^{-j_final} sits far enough outside the
@@ -992,16 +991,20 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
     residual and window nodes at r0.  One fit pooling both read a
     residual of 4.0e-2 on the m = 3, k = 2 annulus [0.5, 1] at n = 1025,
     against 1.1e-4 (outer) and 4.6e-4 (inner) apart.
+
+    u is the conformal factor of the prescaled background c g (c =
+    disc.bg_scale) and d is g's distance, so the einstein_reference is
+    _einstein_constant - 1/2 ln c.
     """
     lo = 1e3 * np.exp(-j_final)
     hi = 1e4 * np.exp(-j_final)
-    hi = min(hi, 0.2 * diameter)
+    hi = min(hi, 0.2 * disc.diameter)
     lo = min(lo, 0.5 * hi)
 
     def fit(side):
         sel = side & (d >= lo) & (d <= hi) & (d > 0)
         if sel.sum() < 3:
-            sel = side & (d > 0) & (d <= max(hi, 20 * h_min))
+            sel = side & (d > 0) & (d <= max(hi, 20 * disc.h_min))
         vals = u[sel] + np.log(d[sel])
         # the intercept is freed of the O(d) and O(d^2) terms
         A = np.stack([np.ones(sel.sum()), d[sel], d[sel] ** 2], axis=1)
@@ -1017,7 +1020,8 @@ def _asymptotics_fit(grid, u, d, j_final, h_min, diameter, k, rhs_scale):
              else np.ones(d.size, dtype=bool))
     report = fit(outer)
     report["window"] = (float(lo), float(hi))
-    report["einstein_reference"] = _einstein_constant(grid.m, k, rhs_scale)
+    report["einstein_reference"] = (_einstein_constant(grid.m, k, rhs_scale)
+                                    - 0.5 * log(disc.bg_scale))
     if annulus:
         report["inner"] = fit(~outer)
     return report

@@ -69,31 +69,31 @@ _SAMPLE = {int: "5", float: "0.25", str: "abc"}
 
 
 class TestFlagFileParity:
-    """Every config key but command is a flag of every subcommand, and a
-    config-file line and the flag resolve to the same typed value."""
+    """Each subcommand takes --config and the flags of the keys it reads,
+    and a config-file line and the flag resolve to the same typed value."""
 
     def test_flags_are_the_keys(self):
         _, subs = _subparsers()
-        keys = [key for key in cli._KEYS if key != "command"]
+        assert list(subs) == list(cli._COMMAND_KEYS)
         for name, sub in subs.items():
             dests = {opt: a.dest for a in sub._actions
                      for opt in a.option_strings}
-            expect = {"--" + key.replace("_", "-"): key for key in keys}
+            expect = {"--" + key.replace("_", "-"): key
+                      for key in cli._COMMAND_KEYS[name]}
             expect.update({"-h": "help", "--help": "help",
                            "--config": "config"})
             assert dests == expect, name
             assert all(a.help for a in sub._actions), name
 
     def test_file_line_matches_flag(self, tmp_path):
-        parser, subs = _subparsers()
+        parser, _ = _subparsers()
         cfgfile = tmp_path / "run.cfg"
-        for key, (parse, _, _) in cli._KEYS.items():
-            if key == "command":
-                continue
-            text = _SAMPLE[parse]
-            cfgfile.write_text(f"{key} = {text}\n")
-            flag = "--" + key.replace("_", "-")
-            for name in subs:
+        for name, keys in cli._COMMAND_KEYS.items():
+            for key in keys:
+                parse = cli._KEYS[key][0]
+                text = _SAMPLE[parse]
+                cfgfile.write_text(f"{key} = {text}\n")
+                flag = "--" + key.replace("_", "-")
                 from_file = cli.resolve_config(
                     parser.parse_args([name, "--config", str(cfgfile)]))
                 from_flag = cli.resolve_config(
@@ -101,6 +101,142 @@ class TestFlagFileParity:
                 assert from_file == from_flag, (name, key)
                 assert type(from_flag[key]) is parse
                 assert from_flag[key] == parse(text)
+
+
+class _Reads(dict):
+    """A config that records every key read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# each subcommand over its domain variants, small enough to run in tier-1
+_VARIANTS = {
+    "solve-dirichlet": [
+        ["--dim", "3", "--k", "2", "--grid", "33", "--j", "0.5"],
+        ["--dim", "3", "--k", "1", "--domain", "annulus", "--grid", "33",
+         "--data-file", "DATA"],
+        ["--dim", "3", "--k", "2", "--domain", "annulus", "--background",
+         "warped:sinh", "--grid", "33"],
+        ["--dim", "2", "--domain", "box", "--grid", "9", "--j", "0.5"],
+    ],
+    "solve-complete": [
+        ["--dim", "3", "--k", "2", "--grid", "65"],
+        ["--dim", "3", "--k", "2", "--domain", "annulus", "--grid", "65"],
+        ["--dim", "3", "--k", "2", "--domain", "annulus", "--background",
+         "warped:sinh", "--grid", "65"],
+        ["--dim", "2", "--domain", "box", "--grid", "9"],
+    ],
+    "pe-invariant": [
+        ["--n", "2", "--grid", "65"],
+        ["--n", "2", "--grid", "65", "--background", "flat-annulus"],
+    ],
+    "surface": [
+        ["--domain", "disk", "--grid", "9,9"],
+        ["--domain", "box", "--grid", "9,9"],
+    ],
+    "verify": [[]],
+}
+_VARIANTS["asymptotics"] = _VARIANTS["solve-complete"]
+
+
+class TestCommandKeys:
+    """The keys each subcommand takes are the keys its run reads."""
+
+    @pytest.mark.parametrize("name", list(cli._COMMAND_KEYS))
+    def test_table_is_what_the_run_reads(self, name, tmp_path, monkeypatch,
+                                         capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("0.5\n" * 33)
+        configs, resolve = [], cli.resolve_config
+
+        def recorded(args):
+            configs.append(_Reads(resolve(args)))
+            return configs[-1]
+
+        monkeypatch.setattr(cli, "resolve_config", recorded)
+        read = set()
+        for argv in _VARIANTS[name]:
+            argv = [str(data) if a == "DATA" else a for a in argv]
+            argv += ["--out", str(tmp_path / "r.json")]
+            if name != "verify":
+                argv += ["--csv", str(tmp_path / "r.csv")]
+            assert main([name] + argv) == 0, argv
+            read |= configs[-1].read
+        assert read == set(cli._COMMAND_KEYS[name])
+
+    @pytest.mark.parametrize("name", list(cli._COMMAND_KEYS))
+    def test_foreign_key_refused(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli._RUNNERS, name, pytest.fail)
+        cfgfile = tmp_path / "run.cfg"
+        for key, (parse, _, _) in cli._KEYS.items():
+            if key in cli._COMMAND_KEYS[name]:
+                continue
+            cfgfile.write_text(f"# {name}\n{key} = {_SAMPLE[parse]}\n")
+            assert main([name, "--config", str(cfgfile)]) == 2, key
+            assert capsys.readouterr().err == (
+                f"config error: line 2: {name} does not read {key!r}\n")
+
+    @pytest.mark.parametrize("name", list(cli._COMMAND_KEYS))
+    def test_foreign_flag_refused(self, name, monkeypatch, capsys):
+        monkeypatch.setitem(cli._RUNNERS, name, pytest.fail)
+        for key, (parse, _, _) in cli._KEYS.items():
+            if key in cli._COMMAND_KEYS[name]:
+                continue
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main([name, flag, _SAMPLE[parse]])
+            assert exc.value.code == 2, key
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pe_invariant_record_states_what_ran(self, tmp_path):
+        # the family of order n + 1 on the annulus: no dim, k or domain
+        out = tmp_path / "pe.json"
+        assert main(["pe-invariant", "--n", "2", "--grid", "65",
+                     "--background", "flat-annulus", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == {"n", "r0", "r1", "grid", "grading",
+                               "cluster", "background", "phi", "tol"}
+        assert config["background"] == "flat-annulus"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-complete", "--dim", "3", "--k", "2", "--domain", "annulus"],
+        ["asymptotics", "--dim", "3", "--k", "2", "--domain", "annulus"],
+        ["pe-invariant", "--n", "2", "--background", "flat-annulus"],
+    ], ids=["solve-complete", "asymptotics", "pe-invariant"])
+    def test_complete_annulus_clusters_both(self, argv, tmp_path, capsys):
+        # auto is both on a complete annulus, and outer is refused there
+        records = []
+        for cluster in ("auto", "both"):
+            out = tmp_path / f"{cluster}.json"
+            assert main(argv + ["--grid", "65", "--cluster", cluster,
+                                "--out", str(out)]) == 0
+            records.append(json.loads(out.read_text())["result"])
+        assert records[0] == records[1]
+        capsys.readouterr()
+        assert main(argv + ["--grid", "65", "--cluster", "outer"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cluster: a complete annulus needs 'both': both "
+            "spheres carry a boundary layer\n")
+
+    def test_dirichlet_annulus_clusters_outer(self, tmp_path):
+        records = []
+        for cluster in ("auto", "outer"):
+            out = tmp_path / f"{cluster}.json"
+            assert main(["solve-dirichlet", "--domain", "annulus", "--grid",
+                         "33", "--grading", "1.05", "--j", "0.5",
+                         "--cluster", cluster, "--out", str(out)]) == 0
+            records.append(json.loads(out.read_text())["result"])
+        assert records[0] == records[1]
 
 
 class TestRecords:
@@ -312,11 +448,12 @@ class TestExitCodes:
         assert not out.exists()
 
     # nan and inf parse as floats; every command rejects them for every
-    # float key, whether or not it reads the key, and the box corners and
-    # the grading, parsed from strings where a grid is made, by name
+    # float key it takes, whether or not its domain reads the key, and the
+    # box corners and the grading, parsed from strings where a grid is
+    # made, by name
     @pytest.mark.parametrize("argv, key", [
-        (["surface", "--domain", "box", "--grid", "9,9", "--tol", "nan"],
-         "tol"),
+        (["surface", "--domain", "box", "--grid", "9,9", "--r1", "nan"],
+         "r1"),
         (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
           "--r0", "inf"], "r0"),
         (["solve-dirichlet", "--domain", "box", "--dim", "3", "--grid", "9",
@@ -329,7 +466,7 @@ class TestExitCodes:
           "--grading", "nan"], "grading"),
         (["solve-complete", "--domain", "annulus", "--dim", "3", "--grid",
           "33", "--grading", "inf"], "grading"),
-    ], ids=["surface-tol-nan", "box-r0-inf", "box-lo-nan", "box-hi-inf",
+    ], ids=["surface-r1-nan", "box-r0-inf", "box-lo-nan", "box-hi-inf",
             "box-hi-not-a-number", "ball-grading-nan",
             "annulus-grading-inf"])
     def test_non_finite_float_rejected(self, argv, key, tmp_path, capsys):
@@ -488,6 +625,23 @@ class TestSubcommands:
         assert fit["einstein_reference"] == pytest.approx(
             0.5 * np.log(2.0) - np.log(4.0) / 6.0, abs=1e-14)
         assert abs(fit["constant"] - fit["einstein_reference"]) <= 1e-4
+
+    @pytest.mark.parametrize("profile", ["sinh", "cosh"])
+    def test_einstein_reference_carries_the_prescale(self, profile,
+                                                      tmp_path):
+        # u is the conformal factor of the prescaled background c g, here
+        # c = 3, so the constant of u + ln d is -ln(3) / 2 off the flat
+        # reference, on both spheres
+        out = tmp_path / "r.json"
+        assert main(["solve-complete", "--dim", "4", "--k", "2",
+                     "--domain", "annulus", "--background",
+                     f"warped:{profile}", "--grid", "513",
+                     "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        fit = result["asymptotics"]
+        assert result["background_scale"] == pytest.approx(3.0, rel=1e-12)
+        for sphere in (fit, fit["inner"]):
+            assert abs(sphere["constant"] - fit["einstein_reference"]) <= 1e-3
 
     def test_asymptotics_prints_constant(self, capsys):
         rc = main(["asymptotics", "--dim", "3", "--k", "1",
