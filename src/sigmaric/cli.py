@@ -2,8 +2,9 @@
 
 Subcommands: solve-dirichlet, solve-complete, asymptotics, pe-invariant,
 surface, verify.  Every run writes a JSON result record (validated against
-the shipped schema) and, on request, a CSV field dump with the fixed columns
-x0..x{m-1}, r, u, u_plus_ln_r.
+the shipped schema) of scalars, the solve trace and the asymptotics; the
+field at the nodes goes only to the CSV dump written on request, with the
+fixed columns x0..x{m-1}, r, u, u_plus_ln_r.
 
 Configs are plain key = value text (optional [section] headers are
 cosmetic) for one subcommand, which takes only the keys it reads;
@@ -59,7 +60,7 @@ from .surface_scalar import (
 )
 from .symfun import cone_contains, maclaurin_ratios, sigma_all
 
-SCHEMA_PATH = Path(__file__).parent / "schemas" / "result-v1.schema.json"
+SCHEMA_PATH = Path(__file__).parent / "schemas" / "result-v2.schema.json"
 
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
@@ -79,7 +80,8 @@ _KEYS = {
     "dim": (int, 3, "ambient dimension m"),
     "k": (int, None, "symmetric-function order"),
     "n": (int, 3, "boundary dimension"),
-    "domain": (str, "ball", "ball | annulus | box | disk (surface)"),
+    "domain": (str, "ball", "ball | annulus | box; surface: disk | box, "
+               "default disk"),
     "r0": (float, 0.5, "inner radius (annulus)"),
     "r1": (float, 1.0, "outer radius"),
     "lo": (str, "0", "box corner, comma separated"),
@@ -151,6 +153,8 @@ def resolve_config(args):
     """Merge defaults, config file, and flags (flags win) over the keys
     args.command reads; a file line with another key is a ConfigError."""
     cfg = {key: _KEYS[key][1] for key in _COMMAND_KEYS[args.command]}
+    if args.command == "surface":  # the surface problem is two-dimensional
+        cfg["domain"] = "disk"
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -331,28 +335,17 @@ def _json_safe(obj):
 
 @cache
 def _record_validator():
-    """The schema's validator, built once per process.  Its items keyword
-    accepts a list for {"type": "number"} in one pass when every element
-    is a plain float or int (not bool); other lists take the stock path.
-    The shipped schema is checked against its metaschema by the tests,
-    not here: it does not change between runs."""
+    """The schema's validator, built once per process.  The shipped schema
+    is checked against its metaschema by the tests, not here: it does not
+    change between runs."""
     schema = json.loads(SCHEMA_PATH.read_text())
-    base = jsonschema.validators.validator_for(schema)
-    stock_items = base.VALIDATORS["items"]
-
-    def items(validator, item_schema, instance, parent):
-        if (item_schema == {"type": "number"} and isinstance(instance, list)
-                and {float, int}.issuperset(map(type, instance))):
-            return
-        yield from stock_items(validator, item_schema, instance, parent)
-
-    return jsonschema.validators.extend(base, {"items": items})(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def write_record(command, cfg, result, wall_time, out_path=None):
     """Assemble, validate, and optionally write the JSON result record."""
     record = {
-        "schema_version": 1,
+        "schema_version": 2,
         "command": command,
         "config": _json_safe({k: v for k, v in cfg.items()
                               if k not in ("out", "csv")}),
@@ -370,31 +363,44 @@ def write_record(command, cfg, result, wall_time, out_path=None):
     return record
 
 
+def _column_text(column, blank=False):
+    """repr of each value of a float column, formatted once per distinct
+    bit pattern (so -0.0 and 0.0 stay apart); with blank, "" where the
+    value is not finite."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64)
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    if blank:
+        text[~np.isfinite(values)] = ""
+    return text[inverse].tolist()
+
+
 def write_csv(path, grid, u):
     """Field dump with fixed columns: x0..x{m-1}, r, u, u_plus_ln_r.
 
     Floats are written as their repr in CRLF rows, the bytes csv.writer
-    gives; u_plus_ln_r is blank where it is not finite (at r = 0)."""
+    gives; u_plus_ln_r is blank where it is not finite (at r = 0).  The
+    rows go out in chunks of 4096, so the text in memory stays bounded,
+    and each chunk formats each distinct value of a column once: box
+    grids repeat their coordinates, radial fields repeat around rings."""
     path = _output_path(path)
     if hasattr(grid, "points"):
         pts = np.asarray(grid.points, dtype=float)
     else:
         pts = grid.nodes[:, None]
     r = np.linalg.norm(pts, axis=1)
+    u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore"):
         u_ln_r = u + np.log(r)
     header = [f"x{a}" for a in range(pts.shape[1])] + ["r", "u",
                                                         "u_plus_ln_r"]
-    table = np.column_stack([pts, r, u, u_ln_r])
-    finite = np.isfinite(u_ln_r).tolist()
+    columns = [*pts.T, r, u, u_ln_r]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(table), 4096):  # bounded text in memory
-            *columns, last = table[lo:lo + 4096].T.tolist()
-            text = [list(map(repr, c)) for c in columns]
-            text.append([repr(v) if ok else ""
-                         for v, ok in zip(last, finite[lo:lo + 4096])])
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*text)))
+        for lo in range(0, len(r), 4096):
+            text = [_column_text(c[lo:lo + 4096], blank=c is u_ln_r)
+                    for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +408,6 @@ def write_csv(path, grid, u):
 
 def _state_result(state):
     return {
-        "u": state.u.values,
         "cone_margin": state.cone_margin,
         "residual_norm": state.residual_norm,
         "background_scale": state.background_scale,
@@ -476,9 +481,7 @@ def run_surface(cfg):
               for key in ("curvature", "psi") if cfg[key]}
     problem = SurfaceProblem(grid=grid, **fields)
     u = solve_positive_scalar(problem)
-    report = verify_positive_scalar(problem, u)
-    report["u"] = u.values
-    return report, grid, u.values
+    return verify_positive_scalar(problem, u), grid, u.values
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,18 @@ class TestCommandKeys:
                                "cluster", "background", "phi", "tol"}
         assert config["background"] == "flat-annulus"
 
+    def test_surface_defaults_to_the_disk(self, tmp_path, capsys):
+        # surface solves the polar disk by default, and its config says so
+        blocks = []
+        for extra in ([], ["--domain", "disk"]):
+            out = tmp_path / "s.json"
+            assert main(["surface", "--grid", "9,9", "--out", str(out)]
+                        + extra) == 0
+            record = json.loads(out.read_text())
+            blocks.append((record["result"], record["config"]))
+        assert blocks[0] == blocks[1]
+        assert blocks[0][1]["domain"] == "disk"
+
     @pytest.mark.parametrize("argv", [
         ["solve-complete", "--dim", "3", "--k", "2", "--domain", "annulus"],
         ["asymptotics", "--dim", "3", "--k", "2", "--domain", "annulus"],
@@ -246,7 +258,7 @@ class TestRecords:
             {"residual": 1e-9, "positive": True},
             0.5, out_path=tmp_path / "r.json",
         )
-        assert record["schema_version"] == 1
+        assert record["schema_version"] == 2
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk == record
 
@@ -270,7 +282,7 @@ class TestRecords:
         with pytest.raises(jsonschema.ValidationError):
             write_record("surface", {}, {"positive": "yes"}, 0.0)
 
-    @pytest.mark.parametrize("key", ["u", "max_abs_Hk", "min_Hk"])
+    @pytest.mark.parametrize("key", ["max_abs_Hk", "min_Hk"])
     @pytest.mark.parametrize("bad", [True, None, "1.0", [1.0]])
     def test_non_number_in_numeric_array_rejected(self, key, bad):
         import jsonschema
@@ -284,12 +296,14 @@ class TestRecords:
     def test_numeric_arrays_accepted(self):
         record = write_record(
             "pe-invariant", {},
-            {"u": np.linspace(0.0, 1.0, 5), "max_abs_Hk": [1, 2.5],
-             "min_Hk": np.arange(3), "constants": [True, "x"]},
+            {"max_abs_Hk": np.linspace(0.0, 1.0, 5), "min_Hk": np.arange(3),
+             "constants": [True, "x"]},
             0.0,
         )
-        assert record["result"]["u"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert record["result"]["max_abs_Hk"] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert record["result"]["min_Hk"] == [0, 1, 2]
+        record = write_record("pe-invariant", {}, {"min_Hk": [1, 2.5]}, 0.0)
+        assert record["result"]["min_Hk"] == [1, 2.5]
 
     @pytest.mark.parametrize("passed", [1, 0.0, "true", None])
     def test_non_boolean_check_rejected(self, passed):
@@ -353,22 +367,30 @@ class TestCsv:
         make_polar_disk(1.0, 6, 7),
         make_polar_disk(1.0, 70, 65),
         make_box_grid([0, 0], [1.0, 2.0], [5, 6]),
-    ], ids=["radial", "polar-disk", "polar-disk-4551-rows", "box"])
+        make_radial_grid(0.0, 1.0, 4100, m=3),
+        make_box_grid([-1.0, 0.0], [1.0, 2.0], [71, 65]),
+    ], ids=["radial", "polar-disk", "polar-disk-4551-rows", "box",
+            "radial-4100-rows", "box-4615-rows"])
     def test_bytes_match_csv_writer(self, tmp_path, grid):
-        # the dump is what csv.writer writes for the same columns, with
-        # u_plus_ln_r blank where r = 0 (ball centre, disk axis)
-        u = np.random.default_rng(5).standard_normal(grid.n)
+        # the dump is what csv.writer writes for the repr of each value,
+        # with u_plus_ln_r blank where r = 0 (ball centre, disk axis, box
+        # corner); u repeats a few values, -0.0 and 0.0 among them, which
+        # the writer formats once per chunk of 4096 rows
+        pool = np.array([-0.0, 0.0, 0.5, -1.25, 1 / 3, 1e-300, np.pi])
+        u = np.random.default_rng(5).choice(pool, grid.n)
+        u[:2] = -0.0, 0.0
         path = tmp_path / "dump.csv"
         write_csv(path, grid, u)
         pts = getattr(grid, "points", None)
         if pts is None:
             pts = grid.nodes[:, None]
         r = np.linalg.norm(pts, axis=1)
+        assert r.min() == 0.0
         with np.errstate(divide="ignore"):
             u_ln_r = u + np.log(r)
-        rows = [x + [rr, uu, v if rr > 0 else ""] for x, rr, uu, v in zip(
-            pts.tolist(), r.tolist(), u.tolist(), u_ln_r.tolist(),
-            strict=True)]
+        rows = [list(map(repr, x + [rr, uu])) + [repr(v) if rr > 0 else ""]
+                for x, rr, uu, v in zip(pts.tolist(), r.tolist(), u.tolist(),
+                                        u_ln_r.tolist(), strict=True)]
         expect = tmp_path / "expect.csv"
         with open(expect, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -581,8 +603,26 @@ class TestSubcommands:
         record = json.loads(out.read_text())
         assert record["result"]["residual_norm"] <= 1e-10
         assert record["result"]["cone_margin"] > 0
-        assert len(record["result"]["u"]) == 65
-        assert csv_path.exists()
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 65
+        assert all(np.isfinite(float(row["u"])) for row in rows)
+
+    @pytest.mark.parametrize("name", ["solve-dirichlet", "solve-complete",
+                                      "asymptotics", "pe-invariant",
+                                      "surface"])
+    def test_field_only_in_csv(self, name, tmp_path, capsys):
+        # the record holds no node field; the CSV holds it
+        out, dump = tmp_path / "r.json", tmp_path / "r.csv"
+        data = tmp_path / "data.txt"
+        data.write_text("0.5\n" * 33)
+        for argv in _VARIANTS[name]:
+            argv = [str(data) if a == "DATA" else a for a in argv]
+            assert main([name] + argv + ["--out", str(out),
+                                         "--csv", str(dump)]) == 0, argv
+            assert "u" not in json.loads(out.read_text())["result"], argv
+            with open(dump, newline="") as fh:
+                assert "u" in next(csv.reader(fh)), argv
 
     def test_boundary_data_file(self, tmp_path):
         grid_n = 33
